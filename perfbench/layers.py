@@ -11,6 +11,7 @@ over the traced replay of the timed phase.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 from lambda_hvm import cyclotomic, dd, exact_lp, hvm, linalg, pauli, polytope, stabilizer
 
@@ -20,14 +21,6 @@ CycNumber = cyclotomic.CycNumber
 def _library_modules():
     return [m for name, m in sorted(sys.modules.items())
             if m is not None and (name == "lambda_hvm" or name.startswith("lambda_hvm."))]
-
-
-def _is_rational_lp(rows, rhs) -> bool:
-    """The exact LP runs its rational backend exactly when every entry is
-    rational (see exact_lp.feasible_point)."""
-    def rational(x):
-        return not isinstance(x, CycNumber) or x.is_rational()
-    return all(rational(x) for row in rows for x in row) and all(rational(x) for x in rhs)
 
 
 def install(tracer, seen_kernels: dict) -> None:
@@ -59,9 +52,9 @@ def install(tracer, seen_kernels: dict) -> None:
     function(linalg.exact_solve, "linalg.exact_solve")
     function(dd.extreme_rays, "dd.extreme_rays", span=True, observe=count("dd.rays"))
 
-    # exact LP
+    # exact LP: the rational backend returns Fractions, the field one CycNumbers
     def lp_kind(result, args):
-        if _is_rational_lp(args[0], args[1]):
+        if result and isinstance(result[0], Fraction):
             tracer.count("exact_lp.feasible_point.rational")
     function(exact_lp.feasible_point, "exact_lp.feasible_point", span=True, observe=lp_kind)
 

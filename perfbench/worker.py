@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         checks += run_checks([
             ("replay_identical", replay["digest"] == ops["digest"],
              "traced replay gave different outputs than the timed phase"),
-        ] + list(traced_guards(wl, run_stats)))
+        ])
         metrics = layers.per_layer_metrics(setup_stats, run_stats)
         # Paired per operation, so that caches the first timed operations
         # filled do not read as negative overhead.
@@ -156,16 +156,6 @@ def main(argv=None) -> int:
     result["checks"] = checks
     print(json.dumps(result))
     return 0
-
-
-def traced_guards(wl, run_stats):
-    calls = run_stats["calls"].get("hvm.kernel", 0)
-    misses = run_stats["calls"].get("hvm.kernel.misses", 0)
-    if isinstance(wl, workloads.SampleWarm):
-        yield "warm_guard_traced", misses == 0, f"{misses} kernel misses in the traced replay"
-    if isinstance(wl, workloads.KernelCold):
-        yield ("cold_guard_traced", calls > 0 and misses == calls,
-               f"hit ratio {(calls - misses) / max(calls, 1):.3f} in the traced replay")
 
 
 def dump_spans(tracer, args, metrics) -> None:

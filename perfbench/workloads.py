@@ -35,14 +35,12 @@ def require(ok: bool, message: str) -> None:
         raise CheckFailed(message)
 
 
-def nonzero_points(d: int, n: int):
-    return [p for p in pauli.phase_space(d, n) if not p.is_zero()]
-
-
 def line_groups(d: int, n: int):
     """The distinct cyclic measurement groups <p>, in canonical order."""
     groups = {}
-    for p in nonzero_points(d, n):
+    for p in pauli.phase_space(d, n):
+        if p.is_zero():
+            continue
         g = hvm.MeasureOp(p).group()
         groups.setdefault(g.key(), g)
     return [groups[k] for k in sorted(groups)]
@@ -113,17 +111,10 @@ class SampleWarm(Workload):
         self.build_vertex_set()
         d = self.d
         gates = pauli.clifford_generators(d, 1)
-        points = nonzero_points(d, 1)
         zero = presets.preset_state("zero", d, 1)
-        self.circs = []
-        for c in range(self.circuits):
-            rng = random.Random(f"{self.name}/circuit/{c}")
-            ops = []
-            for _ in range(self.depth):
-                g = rng.choice(gates)
-                ops.append(hvm.CliffordOp(g, g.name))
-                ops.append(hvm.MeasureOp(rng.choice(points)))
-            self.circs.append(hvm.Circuit(d, 1, zero, "zero", tuple(ops)))
+        self.circs = [hvm.random_circuit(d, 1, self.depth, random.Random(f"{self.name}/circuit/{c}"),
+                                         gates, zero, "zero")
+                      for c in range(self.circuits)]
         self.model = hvm.HiddenVariableModel(self.vset, mode=self.mode)
         self.p_in = [self.model.decompose(c.state) for c in self.circs]
         for circuit, p_in in zip(self.circs, self.p_in):
@@ -285,10 +276,11 @@ class KernelCold(Workload):
 class JobExact(Workload):
     """d=2, exact mode: what one CLI simulate/verify call pays, end to end.
 
-    The circuits form a fixed panel of 50 that each pass runs in a seeded
-    order; the seed also drives each job's shots.  Job cost varies about 10x
-    with the circuit, and seeded sets of 100 circuits moved the median job
-    time by about 25% between seeds.
+    The circuits form a fixed panel of 100 seeded random depth-8 circuits
+    (hvm.random_circuit, T/H input alternating) that each pass runs in a
+    seeded order; the seed also drives each job's shots.  Job cost varies
+    about 10x with the circuit, and seeded sets of 100 circuits moved the
+    median job time by about 25% between seeds.
     """
 
     name = "job-exact-d2"
@@ -296,45 +288,19 @@ class JobExact(Workload):
     mode = "exact"
     depth = 8
     shots = 300
-    panel = 50
-    # Random (two-outcome) measurements per circuit, cycled in blocks of five
-    # so the panel has a fixed mix of oracle sizes (2^k branches) and the
-    # job-time percentiles do not sit on the edge between two sizes.
-    random_mix = (3, 4, 5, 5, 6)
+    panel = 100
     min_ops = 100
 
     def setup(self):
         self.build_vertex_set()
-        self.gates = pauli.clifford_generators(self.d, 1)
-        self.points = nonzero_points(self.d, 1)
-        self.states = {name: presets.preset_state(name, self.d, 1) for name in ("T", "H")}
+        gates = pauli.clifford_generators(self.d, 1)
+        states = {name: presets.preset_state(name, self.d, 1) for name in ("T", "H")}
+        self.circuits = []
+        for j in range(self.panel):
+            name = "T" if j % 2 == 0 else "H"
+            rng = random.Random(f"{self.name}/job/{j}")
+            self.circuits.append(hvm.random_circuit(self.d, 1, self.depth, rng, gates, states[name], name))
         self.order_round, self.order = None, None
-
-    def panel_circuit(self, j: int):
-        block, pos = divmod(j, len(self.random_mix))
-        mix = random.Random(f"{self.name}/mix/{block}").sample(self.random_mix, len(self.random_mix))
-        k = mix[pos]
-        rng = random.Random(f"{self.name}/job/{j}")
-        name = "T" if j % 2 == 0 else "H"
-        # The input is a magic state, so the first measurement is always
-        # random; afterwards the state is an eigenstate of the last measured
-        # label (the axis) carried through the Cliffords, and measuring that
-        # axis again is deterministic (d=2: each line holds one label).
-        random_at = {0} | set(rng.sample(range(1, self.depth), k - 1))
-        ops = []
-        axis = None
-        for m in range(self.depth):
-            g = rng.choice(self.gates)
-            ops.append(hvm.CliffordOp(g, g.name))
-            if axis is not None:
-                axis = g.conjugate_label(axis)[1]
-            if m in random_at:
-                q = rng.choice([p for p in self.points if p != axis])
-            else:
-                q = axis
-            ops.append(hvm.MeasureOp(q))
-            axis = q
-        return hvm.Circuit(self.d, 1, self.states[name], name, tuple(ops))
 
     def prepare(self, i):
         r, pos = divmod(i, self.panel)
@@ -342,7 +308,7 @@ class JobExact(Workload):
             self.order_round = r
             self.order = random.Random(f"{self.seed}/order/{r}").sample(range(self.panel), self.panel)
         shot_seed = random.Random(f"{self.seed}/shots/{i}").getrandbits(62)
-        return self.panel_circuit(self.order[pos]), shot_seed
+        return self.circuits[self.order[pos]], shot_seed
 
     def op(self, inp):
         circuit, shot_seed = inp
