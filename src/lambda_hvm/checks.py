@@ -28,7 +28,7 @@ from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          enumerate_isotropics, projector, projector_product,
                          value_assignments)
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "random_traceless"]
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -451,7 +451,7 @@ def suite_phi(d: int, rng: random.Random, lem2_samples: int = 100) -> list[dict]
     i_groups = enumerate_isotropics(d, m, only_maximal=True)
     bad = 0
     for _ in range(lem2_samples):
-        y = _random_traceless(d, n, rng)
+        y = random_traceless(d, n, rng)
         ip = i_groups[rng.randrange(len(i_groups))]
         sp = value_assignments(ip)[rng.randrange(d)]
         lhs, rhs = lem_coefficient_trace(y, spec, ip, sp)
@@ -516,7 +516,8 @@ def suite_phi(d: int, rng: random.Random, lem2_samples: int = 100) -> list[dict]
     return out
 
 
-def _random_traceless(d: int, n: int, rng: random.Random) -> CycMatrix:
+def random_traceless(d: int, n: int, rng: random.Random) -> CycMatrix:
+    """Random exact Hermitian operator with zero trace and small entries."""
     dim = d ** n
     i_unit = zeta(4)
     rows = [[CycNumber.zero() for _ in range(dim)] for _ in range(dim)]

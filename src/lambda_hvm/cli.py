@@ -135,7 +135,7 @@ def _vertex_set(args):
     if getattr(args, "vertices", None):
         return load_vertex_file(args.vertices)
     hrep = lambda_hrep(args.d, args.n)
-    return enumerate_vertices(hrep, method=getattr(args, "method", "auto"))
+    return enumerate_vertices(hrep, method=getattr(args, "method", "dd"))
 
 
 def clifford_orbits(vset, gens=None):
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vert = sub.add_parser("vertices", help="enumerate and certify polytope vertices")
     common(p_vert)
-    p_vert.add_argument("--method", choices=("auto", "brute", "dd"), default="auto")
+    p_vert.add_argument("--method", choices=("dd", "brute"), default="dd")
     p_vert.set_defaults(func=cmd_vertices)
 
     p_dec = sub.add_parser("decompose", help="decompose a state over the vertices")

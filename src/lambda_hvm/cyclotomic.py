@@ -24,11 +24,6 @@ from math import gcd, lcm
 
 import mpmath
 
-try:  # gmpy2 speeds up the larger eliminations; plain ints work fine too
-    from gmpy2 import mpq as _mpq  # type: ignore
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
-
 __all__ = [
     "CycNumber",
     "ComplexInterval",
@@ -134,37 +129,6 @@ def _conjugation_table(order: int) -> tuple[tuple[int, ...], ...]:
     """Row k: basis image of zeta^{-k} = zeta^{order-k}, for k < deg(order)."""
     tab = _power_table(order)
     return tuple(tab[(-k) % order] for k in range(_degree(order)))
-
-
-def _solve_rational(aug_rows: list[list[Fraction]], ncols: int) -> "list[Fraction] | None":
-    """Solve the augmented rational system exactly; None if inconsistent.
-
-    Underdetermined systems return one solution with free variables at 0.
-    """
-    rows = [row[:] for row in aug_rows]
-    nrows = len(rows)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    for r in range(rank, nrows):
-        if rows[r][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for col, r in pivots.items():
-        sol[col] = rows[r][ncols]
-    return sol
 
 
 def _content(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
@@ -328,15 +292,16 @@ class CycNumber:
         target = self.promoted(big)
         basis = _promotion_table(order, big)
         deg_small, deg_big = _degree(order), _degree(big)
-        # solve sum_k c_k basis[k] = target over Q
-        rows = [[Fraction(basis[k][i]) for k in range(deg_small)] + [Fraction(target.num[i], target.den)]
+        # solve sum_k c_k basis[k] = target over Q; the basis images are
+        # independent, so every one of the deg_small columns gets a pivot
+        from .linalg import row_reduce  # linalg imports this module
+        rows = [[basis[k][i] for k in range(deg_small)] + [Fraction(target.num[i], target.den)]
                 for i in range(deg_big)]
-        sol = _solve_rational(rows, deg_small)
-        if sol is None:
+        row_reduce(rows, deg_small)
+        if any(row[deg_small] for row in rows[deg_small:]):
             return None
-        den = 1
-        for c in sol:
-            den = den // gcd(den, c.denominator) * c.denominator
+        sol = [row[deg_small] for row in rows[:deg_small]]
+        den = lcm(*(c.denominator for c in sol))
         return CycNumber(order, tuple(int(c * den) for c in sol), den)
 
     def _coerce(self, other):

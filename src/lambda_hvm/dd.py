@@ -10,11 +10,11 @@ the space); callers slice rays back to polytope vertices afterwards.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import CycNumber
-from .linalg import exact_rank, exact_solve
+from .linalg import row_reduce
 
 __all__ = ["extreme_rays", "DDRay"]
 
@@ -39,57 +39,17 @@ def _is_rational_input(facets) -> bool:
     return True
 
 
-def _to_int_rows(facets) -> list[tuple[int, ...]]:
-    out = []
-    for row in facets:
-        fr = [x.as_fraction() if isinstance(x, CycNumber) else Fraction(x) for x in row]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(tuple(ints))
-    return out
-
-
 # -- integer backend -----------------------------------------------------------
 
 
-def _int_normalize(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
+def _int_normalize(vec) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
     if g > 1:
-        vec = [v // g for v in vec]
-    return tuple(vec)
-
-
-def _int_initial_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Greedy choice of dim independent rows; rays solve N r_j = e_j."""
-    chosen: list[int] = []
-    for idx in range(len(rows)):
-        if len(chosen) == dim:
-            break
-        if exact_rank([rows[i] for i in chosen] + [rows[idx]]) == len(chosen) + 1:
-            chosen.append(idx)
-    if len(chosen) < dim:
-        raise ValueError("cone is not pointed: facet normals do not span the space")
-    rays = []
-    mat = [list(rows[i]) for i in chosen]
-    for j in range(dim):
-        rhs = [Fraction(1) if k == j else Fraction(0) for k in range(dim)]
-        sol = exact_solve(mat, rhs)
-        assert sol is not None
-        fr = [c.as_fraction() for c in sol]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // gcd(den, f.denominator)
-        rays.append(_int_normalize([int(f * den) for f in fr]))
-    return chosen, rays
+        ints = [v // g for v in ints]
+    return tuple(ints)
 
 
 # -- generic (ordered exact field) backend -------------------------------------
@@ -121,7 +81,8 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
     nf = len(facets)
     rational = _is_rational_input(facets)
     if rational:
-        rows = _to_int_rows(facets)
+        rows = [_int_normalize([x.as_fraction() if isinstance(x, CycNumber) else Fraction(x) for x in row])
+                for row in facets]
 
         def dot(row, ray):
             return sum(a * b for a, b in zip(row, ray))
@@ -130,6 +91,7 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
             return _int_normalize([sp * a - sn * b for a, b in zip(rn, rp)])
 
         sign = lambda v: (v > 0) - (v < 0)
+        to_ray = _int_normalize
     else:
         rows = [tuple(x if isinstance(x, CycNumber) else CycNumber.from_rational(Fraction(x)) for x in row)
                 for row in facets]
@@ -145,14 +107,14 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
             return _cyc_normalize([sp * a - sn * b for a, b in zip(rn, rp)])
 
         sign = _sign_of
+        order = lcm(*(x.order for row in rows for x in row))
 
-    if rational:
-        chosen, init = _int_initial_rays(rows, dim)
-    else:
-        chosen, init = _generic_initial_rays(rows, dim)
+        def to_ray(vec):
+            return _cyc_normalize([CycNumber.from_rational(x, order) for x in vec])
 
+    chosen, init = _initial_rays(rows, dim)
     rays: list[DDRay] = []
-    for r in init:
+    for r in map(to_ray, init):
         mask = 0
         for bit, fi in enumerate(chosen):
             if sign(dot(rows[fi], r)) == 0:
@@ -203,20 +165,16 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
     return rays
 
 
-def _generic_initial_rays(rows, dim):
-    chosen: list[int] = []
-    for idx in range(len(rows)):
-        if len(chosen) == dim:
-            break
-        if exact_rank([rows[i] for i in chosen] + [rows[idx]]) == len(chosen) + 1:
-            chosen.append(idx)
+def _initial_rays(rows, dim: int):
+    """The first dim independent facet rows N, and the columns of N^-1.
+
+    Column j of N^-1 is tight on every chosen facet but the j-th.  Both come
+    from row_reduce: the pivot columns of the transposed facet matrix are the
+    earliest independent facets, and reducing [N | I] leaves N^-1 on the right.
+    """
+    chosen = row_reduce([list(col) for col in zip(*rows)], len(rows))
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: facet normals do not span the space")
-    mat = [list(rows[i]) for i in chosen]
-    rays = []
-    for j in range(dim):
-        rhs = [CycNumber.one() if k == j else CycNumber.zero() for k in range(dim)]
-        sol = exact_solve(mat, rhs)
-        assert sol is not None
-        rays.append(_cyc_normalize(sol))
-    return chosen, rays
+    aug = [list(rows[i]) + [int(j == k) for j in range(dim)] for k, i in enumerate(chosen)]
+    row_reduce(aug, dim)
+    return chosen, [[aug[k][dim + j] for k in range(dim)] for j in range(dim)]

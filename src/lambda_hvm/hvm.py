@@ -5,11 +5,16 @@ quantum-mechanical oracle it is cross-validated against.
 
 Two arithmetic modes run through the same code paths:
 
-exact    rational feasibility LP on the power-basis coefficients of the
-         coordinates (splitting one cyclotomic equation into deg many
-         rational ones), kernels with exact cyclotomic weights;
+exact    feasibility LP over the vertex coordinates: the rational simplex
+         when every coordinate is rational, otherwise the field simplex on
+         the Q(zeta) columns with exact sign tests; kernels carry exact
+         cyclotomic weights;
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
+
+The checks on results (decomposition reconstruction, kernel normalization,
+the layered Born comparison) raise VerificationError, which is not an
+assert statement and so still runs under python -O.
 
 Decompositions are not unique; any feasible one is valid, and both backends
 are deterministic (Bland pivoting / NNLS on canonically ordered columns).
@@ -22,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,13 +36,15 @@ from .exact_lp import feasible_point
 from .linalg import CycMatrix
 from .pauli import (CliffordElement, PhasePoint, pauli_mono, pauli_order,
                     phase_space)
-from .polytope import VertexSet, cnc_phase_point, membership, operator_coords
+from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
+                       pauli_coefficient)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          assignment_is_valid, projector_matrix,
                          value_assignments)
 
 __all__ = [
     "DecompositionInfeasible",
+    "VerificationError",
     "VertexSetIncomplete",
     "StateDistribution",
     "HiddenVariableModel",
@@ -78,6 +85,15 @@ class DecompositionInfeasible(ValueError):
 
 class VertexSetIncomplete(RuntimeError):
     """A Clifford image or measurement post-state escaped the vertex index."""
+
+
+class VerificationError(AssertionError):
+    """An exact or numeric check on the model's results failed."""
+
+
+def _verify(ok: bool, message: str) -> None:
+    if not ok:
+        raise VerificationError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +168,21 @@ def trace_with_pauli(mat: CycMatrix, b: PhasePoint) -> CycNumber:
 
 def trace_with_projector(group: IsotropicSubgroup, r: ValueAssignment, mat: CycMatrix) -> CycNumber:
     """Tr(Pi_I^r M) exactly."""
-    d = group.d
+    return _formal_projector_trace(group.elements, r, mat)
+
+
+def _formal_projector_trace(points: Sequence[PhasePoint], value: Callable[[PhasePoint], int],
+                            x: CycMatrix) -> CycNumber:
+    """Tr((1/|S|) sum omega^{-v(b)} T_b . X) for a labeled point set."""
+    if not points:
+        return CycNumber.zero()
+    d = points[0].d
     order = pauli_order(d)
     t = 1 if d % 2 else 2
     acc = CycNumber.zero(order)
-    for b in group.elements:
-        acc = acc + zeta(order, (-t * r(b)) % order) * trace_with_pauli(mat, b)
-    return acc * Fraction(1, len(group))
+    for b in points:
+        acc = acc + zeta(order, (-t * value(b)) % order) * trace_with_pauli(x, b)
+    return acc * Fraction(1, len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +275,7 @@ class HiddenVariableModel:
             if nonzero:
                 weights[i] = w
         dist = StateDistribution(self.vset, weights, "exact")
-        assert dist.reconstruct() == rho, "exact decomposition failed to reconstruct"
+        _verify(dist.reconstruct() == rho, "exact decomposition failed to reconstruct")
         return dist
 
     def _float_matrix(self) -> np.ndarray:
@@ -336,9 +360,9 @@ class HiddenVariableModel:
             total = CycNumber.zero()
             for w in kern.entries.values():
                 total = total + w
-            assert total == 1, "kernel normalization failed"
+            _verify(total == 1, "kernel normalization failed")
         else:
-            assert abs(sum(kern.entries.values()) - 1.0) < 1e-9, "kernel normalization failed"
+            _verify(abs(sum(kern.entries.values()) - 1.0) < 1e-9, "kernel normalization failed")
         self._kernels[key] = kern
         return kern
 
@@ -548,8 +572,9 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
     At every measurement the Born rule aggregate sum_alpha p(alpha) Q(r|alpha)
     is compared with Tr(Pi rho) for every outcome, then the chain-rule
     posterior is reconstructed and compared with the exact post-measurement
-    state; the walk follows the most likely branch.  Exact mode asserts
-    equality; numeric mode asserts agreement within tol.
+    state; the walk follows the most likely branch.  Exact mode checks
+    equality, numeric mode agreement within tol; a mismatch raises
+    VerificationError.
     """
     rho = circuit.state
     dist = model.decompose(rho)
@@ -565,31 +590,24 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
                                      dist.mode)
             continue
         group = op.group()
-        kerns = {a: model.kernel(a, group) for a in dist.weights}
-        assignments = value_assignments(group)
-        probs_qm, probs_sim = [], []
-        for ri, r in enumerate(assignments):
+        aggregate = born_rule_aggregate(model, dist, group)
+        probs_qm = []
+        for r, p_sim in aggregate:
             p_qm = trace_with_projector(group, r, rho)
             if exact:
-                p_sim = CycNumber.zero()
-                for a, w in dist.weights.items():
-                    p_sim = p_sim + kerns[a].marginals[ri] * w
-                assert p_sim == p_qm, "Born aggregate differs from the oracle"
-                err = 0.0
+                _verify(p_sim == p_qm, "Born aggregate differs from the oracle")
             else:
-                p_sim = sum(float(kerns[a].marginals[ri]) * float(w)
-                            for a, w in dist.weights.items())
                 err = abs(p_sim - float(p_qm))
-                assert err <= tol, f"Born aggregate off by {err}"
-            max_prob_err = max(max_prob_err, err)
+                _verify(err <= tol, f"Born aggregate off by {err}")
+                max_prob_err = max(max_prob_err, err)
             probs_qm.append(p_qm)
-            probs_sim.append(p_sim)
         layers += 1
         # descend into the most likely branch
         floats = [float(p) for p in probs_qm]
         ri = max(range(len(floats)), key=lambda i: (floats[i], -i))
-        r = assignments[ri]
+        r = aggregate[ri][0]
         p_qm = probs_qm[ri]
+        kerns = {a: model.kernel(a, group) for a in dist.weights}
         proj = projector_matrix(group.d, group.n, group.elements, r.as_dict())
         rho = (proj @ rho @ proj).scale(p_qm.inverse())
         posterior: dict[int, object] = {}
@@ -602,13 +620,13 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
             inv = p_qm.inverse()
             posterior = {b: v * inv for b, v in posterior.items()}
             dist = StateDistribution(model.vset, posterior, "exact")
-            assert dist.reconstruct() == rho, "chain-rule post-state mismatch"
+            _verify(dist.reconstruct() == rho, "chain-rule post-state mismatch")
         else:
             total = sum(posterior.values())
             posterior = {b: v / total for b, v in posterior.items()}
             dist = StateDistribution(model.vset, posterior, "numeric")
             err = float(np.max(np.abs(dist.reconstruct_complex() - rho.to_complex())))
-            assert err <= tol, f"chain-rule post-state off by {err}"
+            _verify(err <= tol, f"chain-rule post-state off by {err}")
             max_state_err = max(max_state_err, err)
     return {"layers": layers, "max_prob_err": max_prob_err, "max_state_err": max_state_err}
 
@@ -736,7 +754,7 @@ def lem_trace_reduction(x: CycMatrix, spec: PhiMapSpec,
         km_points = [k for k in k_points if _trailing_part(k, m).is_zero()]
         km_leading = [_leading_part(k, m) for k in km_points]
         km_values = {_leading_part(k, m): s(k) for k in km_points}
-        tr_km = _formal_projector_trace(km_leading, km_values, x)
+        tr_km = _formal_projector_trace(km_leading, km_values.__getitem__, x)
         rhs_printed = tr_km * Fraction(len(k_points), 1)
 
         # general form: the projection of K with the transported assignment
@@ -753,8 +771,7 @@ def lem_trace_reduction(x: CycMatrix, spec: PhiMapSpec,
         s_tilde = ValueAssignment.from_dict(d, proj_values)
         if not assignment_is_valid(proj_group.elements, s_tilde):
             raise AssertionError("transported assignment is not noncontextual")
-        tr_gen = _formal_projector_trace(list(proj_group.elements),
-                                         {p: s_tilde(p) for p in proj_group.elements}, x)
+        tr_gen = _formal_projector_trace(proj_group.elements, s_tilde, x)
         rhs_general = tr_gen * Fraction(len(k_points), 1)
 
     return {
@@ -765,20 +782,6 @@ def lem_trace_reduction(x: CycMatrix, spec: PhiMapSpec,
         "matches_printed_dn": lhs == rhs_printed * Fraction(1, d ** n),
         "matches_general_dn": lhs == rhs_general * Fraction(1, d ** n),
     }
-
-
-def _formal_projector_trace(points: Sequence[PhasePoint], values: dict[PhasePoint, int],
-                            x: CycMatrix) -> CycNumber:
-    """Tr((1/|S|) sum omega^{-v(b)} T_b . X) for a labeled point set."""
-    if not points:
-        return CycNumber.zero()
-    d = points[0].d
-    order = pauli_order(d)
-    t = 1 if d % 2 else 2
-    acc = CycNumber.zero(order)
-    for b in points:
-        acc = acc + zeta(order, (-t * values[b]) % order) * trace_with_pauli(x, b)
-    return acc * Fraction(1, len(points))
 
 
 def lem_coefficient_trace(y: CycMatrix, spec: PhiMapSpec,
@@ -799,7 +802,7 @@ def lem_coefficient_trace(y: CycMatrix, spec: PhiMapSpec,
             eb = embed_trailing(b, n)
             big_points.append(ea + eb)
             big_values[ea + eb] = (sprime(a) + spec.r(b)) % d
-    lhs = _formal_projector_trace(big_points, big_values, y)
+    lhs = _formal_projector_trace(big_points, big_values.__getitem__, y)
 
     # collapsed operator on the leading sector
     order = pauli_order(d)
@@ -810,25 +813,13 @@ def lem_coefficient_trace(y: CycMatrix, spec: PhiMapSpec,
         za = CycNumber.zero()
         for b in spec.j_group.elements:
             label = embed_leading(a, n) + embed_trailing(b, n)
-            za = za + zeta(order, (t * spec.r(b)) % order) * _pauli_dagger_coeff(y, label)
+            za = za + zeta(order, (t * spec.r(b)) % order) * pauli_coefficient(y, label)
         za = za * inv_j
         if not za.is_zero():
             acc = acc + pauli_mono(a).to_matrix().scale(za)
     ytilde = acc.scale(Fraction(1, dim_m))
     rhs = trace_with_projector(iprime, sprime, ytilde)
     return lhs, rhs
-
-
-def _pauli_dagger_coeff(y: CycMatrix, label: PhasePoint) -> CycNumber:
-    """z_a = Tr(T_a^dag Y)."""
-    mono = pauli_mono(label).dagger()
-    order = pauli_order(label.d)
-    acc = CycNumber.zero(order)
-    for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
-        x = y[j, p]
-        if not x.is_zero():
-            acc = acc + zeta(order, e) * x
-    return acc
 
 
 def cnc_form_image(support: Iterable[PhasePoint], gamma: ValueAssignment,

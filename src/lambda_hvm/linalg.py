@@ -1,8 +1,10 @@
 """Dense exact matrices over cyclotomic fields, and exact rank / solve.
 
-Matrices are small (Hilbert-space dimension d^n at desk scale), so plain
-Gaussian elimination over the field is used throughout.  A rational fast
-path kicks in when every entry is order-1, which covers all qubit data.
+Matrices are small (Hilbert-space dimension d^n at desk scale), so a single
+Gauss-Jordan routine, `row_reduce`, does every exact elimination in the
+package: rank, solve, membership of a value in a subfield
+(`CycNumber.demoted`) and the start-up of double description.  Rows whose
+entries are all rational run as Fractions, the others as CycNumbers.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNumber, rational, zeta
+from .cyclotomic import CycNumber
 
-__all__ = ["CycMatrix", "exact_rank", "exact_solve", "kernel_vector"]
+__all__ = ["CycMatrix", "row_reduce", "exact_rank", "exact_solve"]
 
 
 def _as_cyc(x) -> CycNumber:
@@ -158,131 +160,79 @@ class CycMatrix:
 # elimination
 
 
-def _all_rational(rows: Iterable[Sequence[CycNumber]]) -> bool:
-    return all(x.is_rational() for row in rows for x in row)
+def _nonzero(x) -> bool:
+    return not x.is_zero() if isinstance(x, CycNumber) else x != 0
 
 
-def _rank_rational(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
+def _clear_column(rows: list[list], k: int, col: int, targets: Iterable[int]) -> None:
+    """Zero column col of the target rows with multiples of row k (pivot 1 at col)."""
+    pivot_row = rows[k]
+    support = [j for j in range(col, len(pivot_row)) if _nonzero(pivot_row[j])]
+    for r in targets:
+        row = rows[r]
+        f = row[col]
+        if _nonzero(f):
+            for j in support:
+                row[j] = row[j] - f * pivot_row[j]
+
+
+def row_reduce(rows: list, ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place; returns the pivot columns.
+
+    Pivots are searched in the first ncols columns only, so any columns
+    after them (right-hand sides) ride along.  Rows whose entries are all
+    rational run as Fractions, the others as CycNumbers; each row of the
+    list is replaced.  Forward elimination works below the pivots and stops
+    once every row has one, then back-substitution clears above them.  On
+    return rows[k] has a 1 in column pivots[k] and 0 in every other pivot
+    column, and the rows past len(pivots) are zero in the first ncols.
+    """
+    for i, row in enumerate(rows):
+        if all(x.is_rational() for x in row if isinstance(x, CycNumber)):
+            rows[i] = [x.as_fraction() if isinstance(x, CycNumber) else Fraction(x) for x in row]
+        else:
+            rows[i] = [_as_cyc(x) for x in row]
+    nrows = len(rows)
+    pivots: list[int] = []
     for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        k = len(pivots)
+        if k == nrows:
+            break
+        piv = next((r for r in range(k, nrows) if _nonzero(rows[r][col])), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        rows[k], rows[piv] = rows[piv], rows[k]
+        x = rows[k][col]
+        inv = x.inverse() if isinstance(x, CycNumber) else 1 / x
+        rows[k] = [y * inv for y in rows[k]]
+        _clear_column(rows, k, col, range(k + 1, nrows))
+        pivots.append(col)
+    for k in reversed(range(len(pivots))):
+        _clear_column(rows, k, pivots[k], range(k))
+    return pivots
 
 
 def exact_rank(matrix) -> int:
     """Rank over the cyclotomic field (or Q), computed exactly."""
-    if isinstance(matrix, CycMatrix):
-        rows = [list(r) for r in matrix.data]
-    else:
-        rows = [[_as_cyc(x) for x in row] for row in matrix]
+    rows = list(matrix.data if isinstance(matrix, CycMatrix) else matrix)
     if not rows or not rows[0]:
         return 0
-    if _all_rational(rows):
-        return _rank_rational([[x.as_fraction() for x in row] for row in rows])
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(rank + 1, nrows):
-            if not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(row_reduce(rows, len(rows[0])))
 
 
 def exact_solve(a_rows: Sequence[Sequence], rhs: Sequence):
     """Solve A x = b exactly over the field.
 
-    Returns the unique solution as a list of CycNumber, or None when the
-    system is inconsistent or underdetermined (no unique solution).
+    Returns the unique solution as a list of CycNumber, declared at the
+    common order of the entries of A and b, or None when the system is
+    inconsistent or underdetermined (no unique solution).
     """
-    rows = [[_as_cyc(x) for x in row] + [_as_cyc(b)] for row, b in zip(a_rows, rhs)]
+    rows = [list(row) + [b] for row, b in zip(a_rows, rhs)]
     if not rows:
         return None
     ncols = len(rows[0]) - 1
-    nrows = len(rows)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    # inconsistent?
-    for r in range(rank, nrows):
-        if not rows[r][ncols].is_zero():
-            return None
-    if rank < ncols:
-        return None  # underdetermined
-    sol = [CycNumber.zero()] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][ncols]
-    return sol
-
-
-def kernel_vector(a_rows: Sequence[Sequence]):
-    """A nonzero kernel vector of A (exact), or None if A has full column rank."""
-    rows = [[_as_cyc(x) for x in row] for row in a_rows]
-    if not rows:
+    order = lcm(1, *(x.order for row in rows for x in row if isinstance(x, CycNumber)))
+    pivots = row_reduce(rows, ncols)
+    if len(pivots) < ncols or any(_nonzero(row[ncols]) for row in rows[ncols:]):
         return None
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    fcol = free[0]
-    vec = [CycNumber.zero()] * ncols
-    vec[fcol] = CycNumber.one()
-    for col, r in pivots.items():
-        vec[col] = -rows[r][fcol]
-    return vec
+    return [CycNumber.from_rational(row[ncols], order) for row in rows[:ncols]]

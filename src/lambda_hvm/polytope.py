@@ -11,8 +11,8 @@ and the facets active at the point span (after projecting out the trace
 direction) a space of dimension D^2 - 1, making the point the unique
 solution of its active system.
 
-Vertex enumeration is exact and complete: brute force over active subsets at
-the smallest instances, double description on the facet cone otherwise.
+Vertex enumeration is exact and complete: double description on the facet
+cone, with brute force over active subsets kept as the reference method.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "cnc_phase_point",
     "additive_assignments",
     "wigner_operator",
+    "pauli_coefficient",
     "pauli_coefficients",
     "detect_cnc_form",
     "PauliBound",
@@ -64,8 +65,6 @@ __all__ = [
     "save_facet_file",
     "load_facet_file",
 ]
-
-BRUTE_FORCE_LIMIT = 2000  # max number of active subsets for exhaustive search
 
 
 def coord_order(d: int) -> int:
@@ -421,18 +420,14 @@ def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
     return _vertices_from_coord_list(hrep, coord_list)
 
 
-def enumerate_vertices(hrep: LambdaHRep, method: str = "auto", progress=None) -> VertexSet:
+def enumerate_vertices(hrep: LambdaHRep, method: str = "dd", progress=None) -> VertexSet:
     """Complete certified vertex enumeration of the polytope.
 
-    method: "brute" forces active-subset search, "dd" forces double
-    description, "auto" picks brute force when the subset count is small.
+    method: "dd" runs double description, "brute" solves every active
+    subset (the slow reference); both return the same sorted vertex list.
     """
-    if method not in ("auto", "brute", "dd"):
+    if method not in ("dd", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        from math import comb
-        n_subsets = comb(hrep.facet_count(), hrep.dim - 1)
-        method = "brute" if n_subsets <= BRUTE_FORCE_LIMIT else "dd"
     if method == "brute":
         return _enumerate_brute_force(hrep)
     return _enumerate_dd(hrep, progress=progress)
@@ -483,18 +478,21 @@ def wigner_operator(d: int, n: int, gamma: dict[PhasePoint, int]) -> CycMatrix:
     return projector_matrix(d, n, list(neg), neg).scale(Fraction(len(neg), d ** n))
 
 
+def pauli_coefficient(mat: CycMatrix, a: PhasePoint) -> CycNumber:
+    """x_a = Tr(T_a^dag M), using the monomial structure of T_a^dag."""
+    mono = pauli_mono(a).dagger()
+    order = pauli_order(a.d)
+    acc = CycNumber.zero(order)
+    for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
+        x = mat[j, p]
+        if not x.is_zero():
+            acc = acc + zeta(order, e) * x
+    return acc
+
+
 def pauli_coefficients(mat: CycMatrix, d: int, n: int) -> dict[PhasePoint, CycNumber]:
-    """x_a = Tr(T_a^dag M), so M = (1/d^n) sum_a x_a T_a."""
-    out = {}
-    for a in phase_space(d, n):
-        mono = pauli_mono(a).dagger()
-        acc = CycNumber.zero()
-        for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
-            x = mat[j, p]
-            if not x.is_zero():
-                acc = acc + zeta(pauli_order(d), e) * x
-        out[a] = acc
-    return out
+    """x_a = Tr(T_a^dag M) for every label, so M = (1/d^n) sum_a x_a T_a."""
+    return {a: pauli_coefficient(mat, a) for a in phase_space(d, n)}
 
 
 def detect_cnc_form(mat: CycMatrix, d: int, n: int):
@@ -564,7 +562,7 @@ def pauli_bound(mat: CycMatrix, d: int, n: int) -> PauliBound:
 
 
 def polar_dual_vertices(d: int, n: int, operators: Sequence[CycMatrix],
-                        method: str = "auto") -> VertexSet:
+                        method: str = "dd") -> VertexSet:
     """Vertices of {X in Herm_1 : Tr(V_i X) >= 0} for the given operators."""
     hrep = hrep_from_operators(d, n, ((f"op{i}", m) for i, m in enumerate(operators)))
     return enumerate_vertices(hrep, method=method)
@@ -578,7 +576,7 @@ def _dilate(mat: CycMatrix, c: Fraction, d: int, n: int) -> CycMatrix:
 
 def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] = None,
                            dilations: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2)),
-                           method: str = "auto") -> dict:
+                           method: str = "dd") -> dict:
     """Exact duality report for the stabilizer polytope and Wigner simplex.
 
     Verifies (i) double duality Lambda* = SP on computed vertex sets,

@@ -345,7 +345,7 @@ def test_criterion_8_embedding(v21, v31):
     details.append("cnc-form preservation exact on both dimensions")
 
     # coefficient-trace identity on 100 random instances (both dimensions)
-    from tests_support import random_traceless  # local helper below
+    from lambda_hvm.checks import random_traceless
     count = 0
     for d, spec in ((2, spec2), (3, spec3)):
         i_groups = enumerate_isotropics(d, 1, only_maximal=True)

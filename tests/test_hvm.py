@@ -1,6 +1,10 @@
 """Hidden-variable model: decompositions, kernels, sampling, oracle agreement."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +216,61 @@ def test_simulation_statistics(qubit_model):
     again = run_shots(circ, qubit_model, dist, 200, seed=99)
     third = run_shots(circ, qubit_model, dist, 200, seed=99, threads=4)
     assert [r.outcomes for r in again] == [r.outcomes for r in third]
+
+
+CORRUPTED_MODEL_SCRIPT = textwrap.dedent("""
+    from lambda_hvm.hvm import (Circuit, HiddenVariableModel, MeasureOp, StateDistribution,
+                                VerificationError, verify_circuit_born)
+    from lambda_hvm.pauli import PhasePoint
+    from lambda_hvm.polytope import enumerate_vertices, lambda_hrep
+    from lambda_hvm.presets import preset_state
+
+    assert False, "asserts must be stripped: run under python -O"
+""")
+
+
+def _corrupted_check(body: str) -> str:
+    """Run body after the set-up script under python -O; return its output."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_MODEL_SCRIPT + textwrap.dedent(body)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_checks_survive_python_optimize():
+    """A corrupted exact model fails the Born and normalization checks under -O."""
+    born = _corrupted_check("""
+        vset = enumerate_vertices(lambda_hrep(2, 1))
+        model = HiddenVariableModel(vset, mode="exact")
+        rho = preset_state("T", 2, 1)
+        op = MeasureOp(PhasePoint.unit_z(2, 1))
+        for alpha in model.decompose(rho).weights:
+            kern = model.kernel(alpha, op.group())
+            kern.marginals = kern.marginals[::-1]
+        try:
+            verify_circuit_born(Circuit(2, 1, rho, "T", (op,)), model)
+        except VerificationError as exc:
+            print(exc)
+    """)
+    assert born == "Born aggregate differs from the oracle"
+    kernel = _corrupted_check("""
+        vset = enumerate_vertices(lambda_hrep(2, 1))
+        model = HiddenVariableModel(vset, mode="exact")
+        exact_decompose = model.decompose
+
+        def doubled(rho):
+            dist = exact_decompose(rho)
+            return StateDistribution(vset, {a: 2 * w for a, w in dist.weights.items()}, "exact")
+
+        model.decompose = doubled
+        try:
+            model.kernel(0, MeasureOp(PhasePoint.unit_z(2, 1)).group())
+        except VerificationError as exc:
+            print(exc)
+    """)
+    assert kernel == "kernel normalization failed"
 
 
 def test_empty_circuit(qubit_model):

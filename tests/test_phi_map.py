@@ -1,14 +1,12 @@
 """The embedding X -> U (X tensor Pi_J^r) U^dag between polytopes."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from lambda_hvm.cyclotomic import CycNumber, zeta
+from lambda_hvm.checks import random_traceless
 from lambda_hvm.hvm import (PhiMapSpec, cnc_form_image, lem_coefficient_trace,
                             lem_trace_reduction, phi_apply)
-from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, phase_space
 from lambda_hvm.polytope import (VertexCertificate, certify_vertex,
                                  enumerate_vertices, lambda_hrep, membership,
@@ -21,22 +19,6 @@ def make_spec(d, m, n, j_index=0, r_index=0, u=None):
     j = enumerate_isotropics(d, n - m, only_maximal=True)[j_index]
     r = value_assignments(j)[r_index]
     return PhiMapSpec(m, n, j, r, u)
-
-
-def random_traceless(d, n, rng):
-    dim = d ** n
-    i_unit = zeta(4)
-    rows = [[CycNumber.zero() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = CycNumber.from_rational(Fraction(rng.randint(-3, 3)))
-        for j in range(i + 1, dim):
-            re = Fraction(rng.randint(-3, 3), 2)
-            im = Fraction(rng.randint(-3, 3), 2)
-            rows[i][j] = CycNumber.from_rational(re) + i_unit * im
-            rows[j][i] = CycNumber.from_rational(re) - i_unit * im
-    mat = CycMatrix(rows)
-    tr = mat.trace().as_fraction()
-    return mat - CycMatrix.identity(dim, Fraction(tr, dim))
 
 
 def test_spec_validation():

@@ -1,5 +1,6 @@
 """Polytope layer: enumeration, certification, duality, phase points."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -30,6 +31,15 @@ def v21():
 @pytest.fixture(scope="module")
 def v31():
     return enumerate_vertices(lambda_hrep(3, 1))
+
+
+# sha256 of the vertex files written from the default enumeration: rational
+# coordinates are declared at order 1 at d=2, every coordinate at order 12 at
+# d=3 (brute force writes the same d=3 bytes).
+VERTEX_FILE_SHA256 = {
+    2: "84d54e5cdd483ee5524ad61cd8c1cfd1e727e34ade57c4a1597183c9b96f49a9",
+    3: "236e0ff4c4acadd1cd80e00a940113fd1cefd7047135611b2c8570adf2f3a363",
+}
 
 
 def test_stabilizer_state_counts():
@@ -210,6 +220,24 @@ def test_duality_dilation_report(d):
     assert report["simplex_self_dual"]
     assert report["dilation_ok"] == ["1/2", "1", "2"]
     assert report["inclusion_exclusion_ok"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_brute_force_and_dd_give_the_same_vertex_list(d):
+    hrep = lambda_hrep(d, 1)
+    brute = enumerate_vertices(hrep, method="brute")
+    dd = enumerate_vertices(hrep, method="dd")
+    assert [coords_key(v.coords, d) for v in brute] == [coords_key(v.coords, d) for v in dd]
+    assert all(isinstance(v.certificate, VertexCertificate) for v in (*brute, *dd))
+    with pytest.raises(ValueError):
+        enumerate_vertices(hrep, method="auto")
+
+
+def test_vertex_file_bytes_are_pinned(tmp_path, v21, v31):
+    for d, vset in ((2, v21), (3, v31)):
+        path = tmp_path / f"v{d}1.txt"
+        save_vertex_file(str(path), vset)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == VERTEX_FILE_SHA256[d]
 
 
 def test_vertex_file_round_trip(tmp_path, v21):

@@ -2,28 +2,9 @@
 
 from fractions import Fraction
 
-from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.exact_lp import feasible_point
-from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.polytope import (additive_assignments, operator_coords,
                                  wigner_operator)
-
-
-def random_traceless(d, n, rng):
-    """Random exact Hermitian operator with zero trace and small entries."""
-    dim = d ** n
-    i_unit = zeta(4)
-    rows = [[CycNumber.zero() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = CycNumber.from_rational(Fraction(rng.randint(-3, 3)))
-        for j in range(i + 1, dim):
-            re = Fraction(rng.randint(-3, 3), 2)
-            im = Fraction(rng.randint(-3, 3), 2)
-            rows[i][j] = CycNumber.from_rational(re) + i_unit * im
-            rows[j][i] = CycNumber.from_rational(re) - i_unit * im
-    mat = CycMatrix(rows)
-    tr = mat.trace().as_fraction()
-    return mat - CycMatrix.identity(dim, Fraction(tr, dim))
 
 
 def is_uniform_phase_point_average(img, d, n):
