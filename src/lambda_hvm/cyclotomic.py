@@ -624,6 +624,6 @@ def sqrt_int(k: int) -> CycNumber:
                 m = lcm(4 * p, 4)
                 root = g.promoted(m) / zeta(4)  # g = i*sqrt(p)
         out = out * root
-    # sanity: result must be real and positive
-    assert out.is_real() and out.sign() > 0
+    if not (out.is_real() and out.sign() > 0):
+        raise AssertionError(f"sqrt({k}) came out non-real or non-positive")
     return out

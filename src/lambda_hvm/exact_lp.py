@@ -3,19 +3,30 @@
 Phase-I simplex with Bland's smallest-index rule, which terminates on any
 input and makes the returned basic solution deterministic.
 
-Two scalar backends:
+The solve is rational first:
 
-* rational -- gmpy2 rationals (or Fractions), used when every entry is
-  rational;
-* ordered field -- real cyclotomic numbers with exact sign tests, needed
-  e.g. to decompose states whose coordinates involve sqrt(2) or sqrt(3);
-  the basic solution then lives in the same real field.
+* rational input runs the rational simplex directly;
+* otherwise the rows and the right-hand side are promoted to one common
+  cyclotomic order and each row is split into one rational row per
+  power-basis coefficient (all-zero rows are dropped).  The power basis is
+  a Q-basis of the field, so a rational solution of the split system solves
+  the field system, and the rational simplex returns it;
+* only when the split system is infeasible -- a split row reads 0 = c with
+  c != 0, which skips the rational simplex, or the simplex finds no point --
+  does the ordered-field simplex run on the original rows, with exact sign
+  tests on real cyclotomic numbers.  States whose decompositions need
+  irrational weights (sqrt(2), sqrt(3), ...) take this path, and the basic
+  solution then lives in the same real field.
+
+Rationals are gmpy2 mpq when gmpy2 is installed (an optional extra) and
+Fractions otherwise; either way the rational path returns Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 from .cyclotomic import CycNumber
 
@@ -50,17 +61,52 @@ def _to_cyc(x):
 def feasible_point(a_rows: Sequence[Sequence], b: Sequence):
     """Solve {x >= 0, A x = b} exactly; None if infeasible.
 
-    Returns Fractions on rational input, real CycNumbers otherwise.  The
-    point is the basic feasible solution reached by phase-I simplex under
-    Bland's rule (rows flipped to b >= 0 first), so identical inputs give
-    identical outputs.
+    Returns Fractions when the rational simplex (directly or on the split
+    system) finds the point, real CycNumbers when the field simplex does.
+    The point is the basic feasible solution reached by phase-I simplex
+    under Bland's rule (rows flipped to b >= 0 first), so identical inputs
+    give identical outputs.
     """
     if not a_rows:
         return []
     if _is_rational(a_rows, b):
-        return _simplex(a_rows, b, _to_q, lambda v: (v > 0) - (v < 0),
-                        lambda v: Fraction(v.numerator, v.denominator))
+        return _rational_simplex(a_rows, b)
+    split = _split_rows(a_rows, b)
+    if split is not None:
+        x = _rational_simplex(*split)
+        if x is not None:
+            return x
     return _simplex(a_rows, b, _to_cyc, lambda v: v.sign(), lambda v: v)
+
+
+def _split_rows(a_rows, b):
+    """The rational system of power-basis coefficients at one common order.
+
+    None when a split row is all zero against a nonzero right-hand side,
+    which makes the split system infeasible.
+    """
+    order = lcm(*(x.order for row in (*a_rows, b) for x in row if isinstance(x, CycNumber)))
+    rows, rhs = [], []
+    for row, bi in zip(a_rows, b):
+        cols = [_coefficients(x, order) for x in row]
+        for k, bk in enumerate(_coefficients(bi, order)):
+            r = [col[k] for col in cols]
+            if any(r):
+                rows.append(r)
+                rhs.append(bk)
+            elif bk:
+                return None
+    return rows, rhs
+
+
+def _coefficients(x, order: int) -> list[Fraction]:
+    x = x.promoted(order) if isinstance(x, CycNumber) else CycNumber.from_rational(x, order)
+    return [Fraction(c, x.den) for c in x.num]
+
+
+def _rational_simplex(a_rows, b):
+    return _simplex(a_rows, b, _to_q, lambda v: (v > 0) - (v < 0),
+                    lambda v: Fraction(v.numerator, v.denominator))
 
 
 def _simplex(a_rows, b, conv, sign, out):

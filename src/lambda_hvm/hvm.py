@@ -5,10 +5,12 @@ quantum-mechanical oracle it is cross-validated against.
 
 Two arithmetic modes run through the same code paths:
 
-exact    feasibility LP over the vertex coordinates: the rational simplex
-         when every coordinate is rational, otherwise the field simplex on
-         the Q(zeta) columns with exact sign tests; kernels carry exact
-         cyclotomic weights;
+exact    feasibility LP over the vertex coordinates (exact_lp): the
+         rational simplex on the coordinates, or on their power-basis
+         coefficients when some are irrational, and the field simplex on
+         the Q(zeta) columns with exact sign tests only when no rational
+         point exists; weights are Fractions or real cyclotomic numbers,
+         and kernels carry exact cyclotomic weights;
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
 
@@ -18,6 +20,9 @@ assert statement and so still runs under python -O.
 
 Decompositions are not unique; any feasible one is valid, and both backends
 are deterministic (Bland pivoting / NNLS on canonically ordered columns).
+Each model memoises the decompositions it has found and verified, keyed on
+the exact coordinates of the operator, in both modes: at n=1 every vertex on
+a measurement line has the same post-measurement state for a given outcome.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -224,6 +230,7 @@ class HiddenVariableModel:
         self.mode = mode
         self._kernels: dict[tuple, TransitionKernel] = {}
         self._perms: dict[int, tuple[CliffordElement, dict[int, int]]] = {}
+        self._decompositions: dict[tuple, dict[int, object]] = {}
         self._float_cols: Optional[np.ndarray] = None
 
     # -- state decomposition -------------------------------------------------
@@ -232,28 +239,37 @@ class HiddenVariableModel:
         """A probability vector p with sum_alpha p(alpha) A_alpha = rho.
 
         Existence is guaranteed for every operator inside the polytope; an
-        exact membership scan names a violated facet otherwise.
+        exact membership scan names a violated facet otherwise.  Found
+        decompositions are memoised per model on the exact coordinates of
+        rho; each call returns its own copy of the weights.
         """
-        key = self.vset.lookup_matrix(rho)
+        coords = operator_coords(rho, self.vset.d)
+        memo_key = tuple((c.order, c.num, c.den) for c in coords)
+        weights = self._decompositions.get(memo_key)
+        if weights is None:
+            weights = self._find_decomposition(rho, coords)
+            self._decompositions[memo_key] = weights
+        return StateDistribution(self.vset, dict(weights), self.mode)
+
+    def _find_decomposition(self, rho: CycMatrix, coords: Sequence[CycNumber]) -> dict[int, object]:
+        key = self.vset.lookup(coords)
         if key is not None:
-            one = Fraction(1) if self.mode == "exact" else 1.0
-            return StateDistribution(self.vset, {key: one}, self.mode)
+            return {key: Fraction(1) if self.mode == "exact" else 1.0}
         if self.mode == "exact":
-            dist = self._decompose_exact(rho)
+            weights = self._decompose_exact(rho, coords)
         else:
-            dist = self._decompose_numeric(rho)
-        if dist is None:
-            ok, _, violated = membership(operator_coords(rho, self.vset.d), self.vset.hrep)
+            weights = self._decompose_numeric(rho, coords)
+        if weights is None:
+            ok, _, violated = membership(coords, self.vset.hrep)
             if not ok:
                 names = [self.vset.hrep.labels[i] for i in violated]
                 raise DecompositionInfeasible(
                     f"operator lies outside the polytope; violated: {names[0]}", names)
             raise VertexSetIncomplete("operator is in the polytope but no decomposition was found")
-        return dist
+        return weights
 
-    def _decompose_exact(self, rho: CycMatrix) -> Optional[StateDistribution]:
+    def _decompose_exact(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
         cols = [v.coords for v in self.vset.vertices]
-        target = operator_coords(rho, self.vset.d)
         rows, rhs = [], []
         for pos in range(len(target)):
             row = [col[pos] for col in cols]
@@ -269,14 +285,18 @@ class HiddenVariableModel:
         sol = feasible_point(rows, rhs)
         if sol is None:
             return None
-        weights = {}
-        for i, w in enumerate(sol):
-            nonzero = (w != 0) if isinstance(w, Fraction) else not w.is_zero()
-            if nonzero:
-                weights[i] = w
+        weights = {i: w for i, w in enumerate(sol) if w != 0}
+        cyc = [x for row in (*rows, rhs) for x in row if isinstance(x, CycNumber)]
+        if any(not x.is_rational() for x in cyc):
+            # An irrational system may still be answered in Fractions (by
+            # the split path); declare them at the system's order, as the
+            # field simplex would, so weights print the same either way.
+            order = lcm(*(x.order for x in cyc))
+            weights = {i: CycNumber.from_rational(w, order) if isinstance(w, Fraction) else w
+                       for i, w in weights.items()}
         dist = StateDistribution(self.vset, weights, "exact")
         _verify(dist.reconstruct() == rho, "exact decomposition failed to reconstruct")
-        return dist
+        return weights
 
     def _float_matrix(self) -> np.ndarray:
         if self._float_cols is None:
@@ -286,13 +306,12 @@ class HiddenVariableModel:
             self._float_cols = np.array(cols, dtype=float).T
         return self._float_cols
 
-    def _decompose_numeric(self, rho: CycMatrix) -> Optional[StateDistribution]:
+    def _decompose_numeric(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
         from scipy.optimize import nnls
 
         a = self._float_matrix()
-        target = np.array([c.approx().real for c in operator_coords(rho, self.vset.d)])
         a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
-        b_aug = np.concatenate([target, [1.0]])
+        b_aug = np.concatenate([[c.approx().real for c in target], [1.0]])
         sol, _ = nnls(a_aug, b_aug)
         weights = {i: float(w) for i, w in enumerate(sol) if w > PROB_CLIP}
         total = sum(weights.values())
@@ -303,7 +322,7 @@ class HiddenVariableModel:
         residual = np.max(np.abs(dist.reconstruct_complex() - rho.to_complex()))
         if residual > NUMERIC_RESIDUAL:
             return None
-        return dist
+        return weights
 
     # -- Clifford dynamics ------------------------------------------------------
 

@@ -126,15 +126,21 @@ class PhasePoint:
 
     @staticmethod
     def parse(text: str, d: int) -> "PhasePoint":
+        bad = ValueError(f"malformed phase point {text!r}")
+        parts = text.split("|")
+        if len(parts) != 2:
+            raise bad
+        zpart, xpart = parts
+        if not (zpart.startswith("Z:(") and zpart.endswith(")")
+                and xpart.startswith("X:(") and xpart.endswith(")")):
+            raise bad
         try:
-            zpart, xpart = text.split("|")
-            assert zpart.startswith("Z:(") and zpart.endswith(")")
-            assert xpart.startswith("X:(") and xpart.endswith(")")
             az = tuple(int(v) for v in zpart[3:-1].split(",") if v != "")
             ax = tuple(int(v) for v in xpart[3:-1].split(",") if v != "")
-            assert len(az) == len(ax) >= 1
-        except (ValueError, AssertionError) as exc:
-            raise ValueError(f"malformed phase point {text!r}") from exc
+        except ValueError as exc:
+            raise bad from exc
+        if not len(az) == len(ax) >= 1:
+            raise bad
         return PhasePoint(d, len(az), az, ax)
 
     def __repr__(self):

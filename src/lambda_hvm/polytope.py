@@ -574,6 +574,12 @@ def _dilate(mat: CycMatrix, c: Fraction, d: int, n: int) -> CycMatrix:
     return mixed + (mat - mixed).scale(c)
 
 
+def _require(ok: bool, message: str) -> None:
+    # raised explicitly rather than asserted, so the check runs under python -O
+    if not ok:
+        raise AssertionError(message)
+
+
 def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] = None,
                            dilations: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2)),
                            method: str = "dd") -> dict:
@@ -595,7 +601,7 @@ def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] 
     dual = polar_dual_vertices(d, n, [v.matrix for v in lambda_vertices], method=method)
     sp_keys = {coords_key(operator_coords(p.matrix, d), d) for p in stabilizer_states(d, n)}
     dual_keys = {coords_key(v.coords, d) for v in dual}
-    assert dual_keys == sp_keys, "double dual of SP does not return SP"
+    _require(dual_keys == sp_keys, "double dual of SP does not return SP")
     report["double_dual_ok"] = True
     report["sp_vertex_count"] = len(sp_keys)
 
@@ -606,21 +612,21 @@ def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] 
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             expected = dim if i == j else 0
-            assert (a @ b).trace() == expected, "phase-point trace orthogonality failed"
+            _require((a @ b).trace() == expected, "phase-point trace orthogonality failed")
     report["simplex_orthogonality"] = f"Tr(A A') = {dim} * delta (d^n, not 1)"
 
     simplex_keys = {coords_key(operator_coords(p, d), d) for p in points}
     dual_simplex = polar_dual_vertices(d, n, points, method=method)
-    assert {coords_key(v.coords, d) for v in dual_simplex} == simplex_keys, \
-        "Wigner simplex is not self-dual"
+    _require({coords_key(v.coords, d) for v in dual_simplex} == simplex_keys,
+             "Wigner simplex is not self-dual")
     report["simplex_self_dual"] = True
 
     for c in dilations:
         dilated = [_dilate(p, c, d, n) for p in points]
         dual_of_dilated = polar_dual_vertices(d, n, dilated, method=method)
         expected = {coords_key(operator_coords(_dilate(p, 1 / c, d, n), d), d) for p in points}
-        assert {coords_key(v.coords, d) for v in dual_of_dilated} == expected, \
-            f"dilation identity failed at c = {c}"
+        _require({coords_key(v.coords, d) for v in dual_of_dilated} == expected,
+                 f"dilation identity failed at c = {c}")
     report["dilation_ok"] = [str(c) for c in dilations]
 
     # (iv) inclusion-exclusion over a line cover (single qudit only)

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, file round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,22 @@ def test_decompose_presets(tmp_path, capsys):
     code, stdout, _ = run(capsys, "decompose", "-d", "2", "-n", "1",
                           "--state", "zero", "--vertices", str(vfile), "--mode", "numeric")
     assert code == 0
+
+
+# sha256 of the exact decompose output, recorded before decompositions went
+# rational-first: the d=3 weights are found as Fractions now and must still
+# print in the field form ("12; 1/2, 0, 0, 0").
+DECOMPOSE_STDOUT_SHA256 = {
+    ("2", "T"): "ef9a1899297e00b525bdd5710ddb3cd6caa18d205e90ac26ea23a05f4d76d2b2",
+    ("3", "strange"): "2847dfef1b93d5c1ffeaf4e90b7db8860e3faca4dca231d92d82167d2e577dd2",
+}
+
+
+@pytest.mark.parametrize("d,state", sorted(DECOMPOSE_STDOUT_SHA256))
+def test_decompose_output_is_pinned(capsys, d, state):
+    code, stdout, _ = run(capsys, "decompose", "-d", d, "-n", "1", "--state", state)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DECOMPOSE_STDOUT_SHA256[(d, state)]
 
 
 def test_decompose_infeasible(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Hidden-variable model: decompositions, kernels, sampling, oracle agreement."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lambda_hvm import hvm
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             HiddenVariableModel, MeasureOp, chi_square,
@@ -17,7 +19,7 @@ from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             random_circuit, run_shots, simulate_run,
                             verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
-from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix
+from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep
 from lambda_hvm.presets import preset_names, preset_state
 from lambda_hvm.stabilizer import IsotropicSubgroup, value_assignments
@@ -31,6 +33,32 @@ def qubit_model():
 @pytest.fixture(scope="module")
 def qutrit_model():
     return HiddenVariableModel(enumerate_vertices(lambda_hrep(3, 1)), mode="numeric")
+
+
+@pytest.fixture(scope="module")
+def qutrit_exact_model(qutrit_model):
+    return HiddenVariableModel(qutrit_model.vset, mode="exact")
+
+
+def line_groups(d):
+    """The d + 1 single-qudit measurement lines <p>, in canonical order."""
+    groups = {}
+    for p in phase_space(d, 1):
+        if not p.is_zero():
+            g = MeasureOp(p).group()
+            groups.setdefault(g.key(), g)
+    return [groups[k] for k in sorted(groups)]
+
+
+def kernel_line(gi, kern):
+    ents = sorted((beta, ri, w.serialize()) for (beta, ri), w in kern.entries.items())
+    return repr((gi, kern.alpha, [m.serialize() for m in kern.marginals], ents))
+
+
+# sha256 of the kernel_line table of all 324 exact d=3 kernels (81 vertices x
+# 4 lines, line-major), recorded before decompositions went rational-first
+# and were memoised.
+QUTRIT_KERNEL_TABLE_SHA256 = "95d5aa7097470c5c6df70411c322f4468a644113f92f2f21807cd75f6c79fa92"
 
 
 def z_measure(d):
@@ -124,6 +152,63 @@ def test_kernel_structure(qubit_model):
     triv = IsotropicSubgroup.trivial(2, 1)
     kt = qubit_model.kernel(a0, triv)
     assert dict(kt.branch(0)) == {a0: 1}
+
+
+def test_decompositions_are_memoised_per_model(monkeypatch, qubit_model, qutrit_model):
+    lp_calls = []
+    solve_lp = hvm.feasible_point
+    monkeypatch.setattr(hvm, "feasible_point", lambda rows, b: lp_calls.append(1) or solve_lp(rows, b))
+    model = HiddenVariableModel(qubit_model.vset, mode="exact")
+    rho = preset_state("T", 2, 1)
+    first = model.decompose(rho)
+    again = model.decompose(rho)
+    assert len(lp_calls) == 1 and again.weights == first.weights
+    HiddenVariableModel(qubit_model.vset, mode="exact").decompose(rho)
+    assert len(lp_calls) == 2  # the memo is per model
+
+    numeric = HiddenVariableModel(qutrit_model.vset, mode="numeric")
+    nnls_calls = []
+    solve = numeric._decompose_numeric
+    monkeypatch.setattr(numeric, "_decompose_numeric",
+                        lambda rho, coords: nnls_calls.append(1) or solve(rho, coords))
+    strange = preset_state("strange", 3, 1)
+    assert numeric.decompose(strange).weights == numeric.decompose(strange).weights
+    assert len(nnls_calls) == 1
+
+
+def test_memoised_decomposition_is_not_shared_with_callers(qubit_model):
+    model = HiddenVariableModel(qubit_model.vset, mode="exact")
+    rho = preset_state("T", 2, 1)
+    dist = model.decompose(rho)
+    expected = dict(dist.weights)
+    dist.weights.clear()
+    dist.weights[0] = Fraction(1)
+    again = model.decompose(rho)
+    assert again.weights == expected and again.weights is not dist.weights
+    assert again.reconstruct() == rho
+
+
+def test_shared_model_kernels_equal_fresh_model_kernels(qutrit_exact_model):
+    # A shared model answers later requests from decompositions memoised by
+    # earlier ones; each must equal the kernel a fresh model computes.
+    groups = line_groups(3)
+    rng = random.Random("hvm/memo/kernels")
+    pairs = [(alpha, gi) for gi in range(len(groups))
+             for alpha in rng.sample(range(len(qutrit_exact_model.vset)), 3)]
+    rng.shuffle(pairs)
+    shared = HiddenVariableModel(qutrit_exact_model.vset, mode="exact")
+    from_shared = [kernel_line(gi, shared.kernel(alpha, groups[gi])) for alpha, gi in pairs]
+    for (alpha, gi), line in zip(pairs, from_shared):
+        fresh = HiddenVariableModel(qutrit_exact_model.vset, mode="exact")
+        assert kernel_line(gi, fresh.kernel(alpha, groups[gi])) == line
+
+
+def test_qutrit_kernel_table_is_pinned(qutrit_exact_model):
+    model = qutrit_exact_model
+    lines = [kernel_line(gi, model.kernel(alpha, group))
+             for gi, group in enumerate(line_groups(3)) for alpha in range(len(model.vset))]
+    assert len(lines) == 324
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUTRIT_KERNEL_TABLE_SHA256
 
 
 def test_kernel_normalization_and_marginals(qutrit_model):
@@ -271,6 +356,15 @@ def test_checks_survive_python_optimize():
             print(exc)
     """)
     assert kernel == "kernel normalization failed"
+    malformed = ("Q:(1)|X:(1)", "Z:(1]|X:(1)", "Z:(1,2)|X:(1)")
+    labels = _corrupted_check(f"""
+        for text in {malformed!r}:
+            try:
+                print(PhasePoint.parse(text, 3))
+            except ValueError as exc:
+                print(exc)
+    """)
+    assert labels.splitlines() == [f"malformed phase point {text!r}" for text in malformed]
 
 
 def test_empty_circuit(qubit_model):
