@@ -23,15 +23,29 @@ are deterministic (Bland pivoting / NNLS on canonically ordered columns).
 Each model memoises the decompositions it has found and verified, keyed on
 the exact coordinates of the operator, in both modes: at n=1 every vertex on
 a measurement line has the same post-measurement state for a given outcome.
+
+Sampling runs on a plan the model compiles once per circuit: a Clifford op
+becomes its vertex permutation as a list, and a measurement a table that
+maps alpha to the running float sums of its kernel's weights in sorted
+(beta, r_index) order with the matching (beta, outcome) pairs.  A table entry
+is filled from the kernel the first time a shot reaches alpha, so cold models
+work.  A shot draws u = rng.random() and takes the first item whose running
+sum exceeds u, the last item if none does; the sums are added in the order
+the kernel entries sort, so shot records are byte-identical to a loop that
+accumulates the weights one by one.  The model's `stats` count kernel,
+permutation and decomposition cache hits and misses, plan builds and table
+fills; nothing is counted per shot.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -45,8 +59,8 @@ from .pauli import (CliffordElement, PhasePoint, pauli_mono, pauli_order,
 from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
                        pauli_coefficient)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
-                         assignment_is_valid, projector_matrix,
-                         value_assignments)
+                         assignment_is_valid, group_projector_matrix,
+                         projector_matrix, value_assignments)
 
 __all__ = [
     "DecompositionInfeasible",
@@ -122,12 +136,11 @@ class StateDistribution:
         w = self.weights.get(alpha, 0)
         return float(w)
 
-    def float_items(self) -> list[tuple[int, float]]:
-        cached = getattr(self, "_float_items", None)
-        if cached is None:
-            cached = [(a, float(w)) for a, w in sorted(self.weights.items())]
-            self._float_items = cached
-        return cached
+    def _sampling_table(self) -> tuple[list[float], list[int]]:
+        table = getattr(self, "_table", None)
+        if table is None:
+            table = self._table = _prefix_table(sorted(self.weights.items()))
+        return table
 
     def reconstruct(self) -> CycMatrix:
         acc = None
@@ -142,6 +155,18 @@ class StateDistribution:
         for alpha, w in self.weights.items():
             acc += float(w) * _vertex_complex(self.vset, alpha)
         return acc
+
+
+def _prefix_table(items: Iterable[tuple[object, object]]) -> tuple[list[float], list]:
+    """(running float sums, keys) of (key, weight) items, for bisect sampling.
+
+    A draw u takes the first key whose running sum exceeds u, and the last
+    key when rounding leaves the total at or below u.  The total is therefore
+    left out: bisect_right(sums, u) over the other sums is at most the last
+    index, which is that clamp.
+    """
+    keys, weights = zip(*items)
+    return list(accumulate(map(float, weights)))[:-1], list(keys)
 
 
 def _vertex_complex(vset: VertexSet, alpha: int) -> np.ndarray:
@@ -211,27 +236,33 @@ class TransitionKernel:
     def branch(self, r_index: int) -> list[tuple[int, object]]:
         return sorted((beta, w) for (beta, ri), w in self.entries.items() if ri == r_index)
 
-    def sample_items(self) -> list[tuple[tuple[int, int], float]]:
-        cached = getattr(self, "_sample_items", None)
-        if cached is None:
-            cached = [((beta, ri), float(w))
-                      for (beta, ri), w in sorted(self.entries.items())]
-            self._sample_items = cached
-        return cached
+
+STAT_NAMES = ("kernel_hits", "kernel_misses", "perm_hits", "perm_misses",
+              "decompose_hits", "decompose_misses", "plan_builds", "plan_fills")
 
 
 class HiddenVariableModel:
-    """Vertex set plus memoized kernels and Clifford vertex permutations."""
+    """Vertex set plus memoized kernels, Clifford vertex permutations and
+    compiled sampling plans.
+
+    `stats` maps each name in STAT_NAMES to a count: cache hits and misses
+    of `kernel`, `clifford_permutation` and `decompose`, sampling plans
+    built and plan table entries filled.  Shots that run in a thread pool
+    may fill entries concurrently, and then some fills can go uncounted.
+    """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
         if mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
         self.vset = vset
         self.mode = mode
+        self.stats = dict.fromkeys(STAT_NAMES, 0)
         self._kernels: dict[tuple, TransitionKernel] = {}
         self._perms: dict[int, tuple[CliffordElement, dict[int, int]]] = {}
         self._decompositions: dict[tuple, dict[int, object]] = {}
         self._float_cols: Optional[np.ndarray] = None
+        self._plans: dict[int, tuple[Circuit, tuple]] = {}
+        self._tables: dict[PhasePoint, dict[int, tuple[list[float], list]]] = {}
 
     # -- state decomposition -------------------------------------------------
 
@@ -247,8 +278,11 @@ class HiddenVariableModel:
         memo_key = tuple((c.order, c.num, c.den) for c in coords)
         weights = self._decompositions.get(memo_key)
         if weights is None:
+            self.stats["decompose_misses"] += 1
             weights = self._find_decomposition(rho, coords)
             self._decompositions[memo_key] = weights
+        else:
+            self.stats["decompose_hits"] += 1
         return StateDistribution(self.vset, dict(weights), self.mode)
 
     def _find_decomposition(self, rho: CycMatrix, coords: Sequence[CycNumber]) -> dict[int, object]:
@@ -329,6 +363,7 @@ class HiddenVariableModel:
     def clifford_permutation(self, u: CliffordElement) -> dict[int, int]:
         entry = self._perms.get(id(u))
         if entry is None:
+            self.stats["perm_misses"] += 1
             mapping: dict[int, int] = {}
             for v in self.vset:
                 image = u.apply(v.matrix)
@@ -341,6 +376,8 @@ class HiddenVariableModel:
                 raise VertexSetIncomplete("Clifford action is not a bijection on the vertex set")
             entry = (u, mapping)
             self._perms[id(u)] = entry
+        else:
+            self.stats["perm_hits"] += 1
         return entry[1]
 
     def update(self, alpha: int, u: CliffordElement) -> int:
@@ -352,7 +389,9 @@ class HiddenVariableModel:
         key = (group.key(), alpha)
         kern = self._kernels.get(key)
         if kern is not None:
+            self.stats["kernel_hits"] += 1
             return kern
+        self.stats["kernel_misses"] += 1
         assignments = tuple(value_assignments(group))
         a_mat = self.vset[alpha].matrix
         entries: dict[tuple[int, int], object] = {}
@@ -367,7 +406,7 @@ class HiddenVariableModel:
             marginals.append(t if self.mode == "exact" else float(t))
             if sgn == 0:
                 continue
-            proj = projector_matrix(group.d, group.n, group.elements, r.as_dict())
+            proj = group_projector_matrix(group, r)
             post = proj @ a_mat @ proj
             scaled = post.scale(t.inverse())
             dist = self.decompose(scaled)
@@ -384,6 +423,44 @@ class HiddenVariableModel:
             _verify(abs(sum(kern.entries.values()) - 1.0) < 1e-9, "kernel normalization failed")
         self._kernels[key] = kern
         return kern
+
+    # -- compiled sampling plans ------------------------------------------------
+
+    def _sampling_plan(self, circuit: Circuit) -> tuple:
+        """One (permutation list, table, point) step per op of the circuit.
+
+        Clifford steps carry the permutation, measurement steps the table of
+        their point, shared by every plan of this model.  A plan holds no
+        reference to the model, so dropping a model frees it at once rather
+        than at the next cycle collection.
+        """
+        entry = self._plans.get(id(circuit))
+        if entry is None:
+            self.stats["plan_builds"] += 1
+            steps = []
+            for op in circuit.ops:
+                if isinstance(op, CliffordOp):
+                    perm = self.clifford_permutation(op.element)
+                    steps.append(([perm[a] for a in range(len(perm))], None, None))
+                else:
+                    steps.append((None, self._tables.setdefault(op.point, {}), op.point))
+            # Keeping the circuit keeps its id from being reused by another.
+            entry = (circuit, tuple(steps))
+            self._plans[id(circuit)] = entry
+        return entry[1]
+
+    def _fill_table(self, table: dict, alpha: int, point: PhasePoint) -> tuple[list[float], list]:
+        """Compile the kernel at alpha for measuring point into its table.
+
+        The entry is stored only once it is complete, so concurrent shots can
+        at worst build it twice.
+        """
+        self.stats["plan_fills"] += 1
+        kern = self.kernel(alpha, _cyclic_group(point))
+        entry = _prefix_table(((beta, kern.assignments[ri](point)), w)
+                              for (beta, ri), w in sorted(kern.entries.items()))
+        table[alpha] = entry
+        return entry
 
 
 def born_rule_aggregate(model: HiddenVariableModel, dist: StateDistribution,
@@ -481,30 +558,25 @@ class ShotRecord:
     final_vertex: int
 
 
-def _sample(rng: random.Random, items: Sequence[tuple[object, float]]):
-    u = rng.random()
-    acc = 0.0
-    for key, w in items:
-        acc += w
-        if u < acc:
-            return key
-    return items[-1][0]
-
-
 def simulate_run(circuit: Circuit, model: HiddenVariableModel,
                  p_in: StateDistribution, seed: int) -> ShotRecord:
-    """One trajectory of the sampling algorithm, deterministic given the seed."""
-    rng = random.Random(seed)
-    alpha = _sample(rng, p_in.float_items())
+    """One trajectory of the sampling algorithm, deterministic given the seed.
+
+    Runs on the model's compiled plan for the circuit and fills plan table
+    entries the shot reaches for the first time.
+    """
+    steps = model._sampling_plan(circuit)
+    draw = random.Random(seed).random
+    sums, keys = p_in._sampling_table()
+    alpha = keys[bisect_right(sums, draw())]
     outcomes = []
-    for op in circuit.ops:
-        if isinstance(op, CliffordOp):
-            alpha = model.update(alpha, op.element)
+    for perm, table, point in steps:
+        if perm is not None:
+            alpha = perm[alpha]
         else:
-            kern = model.kernel(alpha, op.group())
-            beta, ri = _sample(rng, kern.sample_items())
-            outcomes.append(kern.assignments[ri](op.point))
-            alpha = beta
+            sums, keys = table.get(alpha) or model._fill_table(table, alpha, point)
+            alpha, outcome = keys[bisect_right(sums, draw())]
+            outcomes.append(outcome)
     return ShotRecord(seed, tuple(outcomes), alpha)
 
 
@@ -566,7 +638,7 @@ def oracle_simulate(circuit: Circuit) -> list[OracleBranch]:
                         raise AssertionError("Born probability must be real")
                     if p.sign() <= 0:
                         continue
-                    proj = projector_matrix(group.d, group.n, group.elements, r.as_dict())
+                    proj = group_projector_matrix(group, r)
                     post = (proj @ br.state @ proj).scale(p.inverse())
                     nxt.append(OracleBranch(br.outcomes + (r(op.point),), br.probability * p, post))
         branches = nxt
@@ -627,7 +699,7 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
         r = aggregate[ri][0]
         p_qm = probs_qm[ri]
         kerns = {a: model.kernel(a, group) for a in dist.weights}
-        proj = projector_matrix(group.d, group.n, group.elements, r.as_dict())
+        proj = group_projector_matrix(group, r)
         rho = (proj @ rho @ proj).scale(p_qm.inverse())
         posterior: dict[int, object] = {}
         for a, w in dist.weights.items():

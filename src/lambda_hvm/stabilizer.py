@@ -37,6 +37,7 @@ __all__ = [
     "noncontextual_assignments",
     "projector",
     "projector_matrix",
+    "group_projector_matrix",
     "closure_under_inference",
     "closure_and_cnc",
     "projector_product",
@@ -306,7 +307,7 @@ class StabilizerProjector:
 
     @property
     def matrix(self) -> CycMatrix:
-        return _projector_matrix_cached(self.group, self.assignment)
+        return group_projector_matrix(self.group, self.assignment)
 
     def rank(self) -> Fraction:
         return Fraction(self.d ** self.n, len(self.group))
@@ -316,7 +317,11 @@ class StabilizerProjector:
 
 
 @lru_cache(maxsize=None)
-def _projector_matrix_cached(group: IsotropicSubgroup, r: ValueAssignment) -> CycMatrix:
+def group_projector_matrix(group: IsotropicSubgroup, r: ValueAssignment) -> CycMatrix:
+    """Pi_I^r for a subgroup and an assignment on it, built once per pair.
+
+    CycMatrix is immutable, so every caller may share the returned matrix.
+    """
     return projector_matrix(group.d, group.n, group.elements, r.as_dict())
 
 

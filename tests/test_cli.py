@@ -93,6 +93,40 @@ def test_decompose_output_is_pinned(capsys, d, state):
     assert hashlib.sha256(stdout.encode()).hexdigest() == DECOMPOSE_STDOUT_SHA256[(d, state)]
 
 
+# Circuits of the pinned `simulate` runs (2000 shots, seed 7, exact mode).
+SIMULATE_CIRCUITS = {
+    ("2", "T"): {"d": 2, "n": 1, "state": {"preset": "T"}, "ops": [
+        {"clifford": {"gate": "F0"}}, {"measure": {"a": "Z:(1)|X:(0)"}},
+        {"clifford": {"gate": "S0"}}, {"measure": {"a": "Z:(0)|X:(1)"}},
+        {"measure": {"a": "Z:(1)|X:(1)"}}]},
+    ("3", "strange"): {"d": 3, "n": 1, "state": {"preset": "strange"}, "ops": [
+        {"clifford": {"gate": "F0"}}, {"measure": {"a": "Z:(1)|X:(0)"}},
+        {"clifford": {"gate": "S0"}}, {"measure": {"a": "Z:(0)|X:(1)"}},
+        {"clifford": {"gate": "M2_0"}}, {"measure": {"a": "Z:(1)|X:(2)"}}]},
+}
+
+# sha256 of (the CSV, stdout) of those runs, recorded before the shot loop
+# ran on compiled sampling plans.
+SIMULATE_SHA256 = {
+    ("2", "T"): ("3fce41dd6b06846892632d7ddc76623eb783bd6638a9901ddeb6862ff05ea0f1",
+                 "4ca64f8092b0293a581f051e6485e767350e953f969d2b0a6ab4bdaa30ff9908"),
+    ("3", "strange"): ("8690c60cc9ad037ee3075111f59ec41b2ad897e013f6f1b5dc587c81b791c1fc",
+                       "76249d69574aa4aaad0153ae56925938797a426790d3b66184431efe3679bcf8"),
+}
+
+
+@pytest.mark.parametrize("d,state", sorted(SIMULATE_SHA256))
+def test_simulate_output_is_pinned(tmp_path, monkeypatch, capsys, d, state):
+    monkeypatch.chdir(tmp_path)     # stdout names the relative --out path
+    (tmp_path / "c.json").write_text(json.dumps(SIMULATE_CIRCUITS[(d, state)]))
+    code, stdout, _ = run(capsys, "simulate", "-d", d, "-n", "1", "c.json",
+                          "--shots", "2000", "--seed", "7", "--out", "runs.csv")
+    assert code == 0
+    csv_sha = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    stdout_sha = hashlib.sha256(stdout.encode()).hexdigest()
+    assert (csv_sha, stdout_sha) == SIMULATE_SHA256[(d, state)]
+
+
 def test_decompose_infeasible(tmp_path, capsys):
     state = tmp_path / "bad.json"
     state.write_text(json.dumps({

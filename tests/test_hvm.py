@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,15 +15,16 @@ import pytest
 from lambda_hvm import hvm
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
-                            HiddenVariableModel, MeasureOp, chi_square,
-                            oracle_distribution, oracle_simulate,
-                            random_circuit, run_shots, simulate_run,
-                            verify_circuit_born)
+                            HiddenVariableModel, MeasureOp, StateDistribution,
+                            TransitionKernel, chi_square, oracle_distribution,
+                            oracle_simulate, random_circuit, run_shots,
+                            simulate_run, verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep
 from lambda_hvm.presets import preset_names, preset_state
 from lambda_hvm.stabilizer import IsotropicSubgroup, value_assignments
+from tests_support import reference_run_shots, reference_simulate_run
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,11 @@ def qutrit_model():
 @pytest.fixture(scope="module")
 def qutrit_exact_model(qutrit_model):
     return HiddenVariableModel(qutrit_model.vset, mode="exact")
+
+
+@pytest.fixture(scope="module")
+def ququart_model():
+    return HiddenVariableModel(enumerate_vertices(lambda_hrep(4, 1)), mode="numeric")
 
 
 def line_groups(d):
@@ -301,6 +308,82 @@ def test_simulation_statistics(qubit_model):
     again = run_shots(circ, qubit_model, dist, 200, seed=99)
     third = run_shots(circ, qubit_model, dist, 200, seed=99, threads=4)
     assert [r.outcomes for r in again] == [r.outcomes for r in third]
+
+
+@pytest.mark.parametrize("d,state,mode", [
+    (2, "T", "exact"), (2, "H", "exact"), (3, "strange", "exact"),
+    (3, "norrell", "exact"), (4, "zero", "numeric")])
+def test_compiled_shots_equal_reference_loop(request, d, state, mode):
+    """run_shots gives the records of the op-by-op reference loop, on cold
+    and warm models, in one thread and in four."""
+    vset = request.getfixturevalue({2: "qubit_model", 3: "qutrit_model", 4: "ququart_model"}[d]).vset
+    rho = preset_state(state, d, 1)
+    circ = random_circuit(d, 1, 4, random.Random(f"{d}/{state}"), clifford_generators(d, 1), rho, state)
+    shots, seed = 300, 11
+    reference = HiddenVariableModel(vset, mode=mode)
+    expected = reference_run_shots(circ, reference, reference.decompose(rho), shots, seed)
+    assert len({(r.outcomes, r.final_vertex) for r in expected}) > 4
+    # kernels warm, plan cold
+    assert run_shots(circ, reference, reference.decompose(rho), shots, seed, threads=1) == expected
+    for threads in (1, 4):
+        model = HiddenVariableModel(vset, mode=mode)
+        dist = model.decompose(rho)
+        assert run_shots(circ, model, dist, shots, seed, threads=threads) == expected   # cold
+        assert run_shots(circ, model, dist, shots, seed, threads=threads) == expected   # warm
+
+
+def test_sampling_ties_zero_weights_and_rounding_tail(monkeypatch, qubit_model):
+    """Draws that equal a running sum, zero-weight items and draws at or
+    above the total pick what the reference loop picks, in the input
+    distribution and in a kernel.
+
+    Each sums to 3/4, below the draws in the rounding tail.  The weights are
+    listed out of order, so the running sums must follow the sorted keys.
+    """
+    model = HiddenVariableModel(qubit_model.vset, mode="numeric")
+    op = MeasureOp(PhasePoint.unit_z(2, 1))
+    group = op.group()
+    for alpha, (hi, zero, mid) in ((4, (6, 1, 3)), (2, (7, 0, 2))):
+        entries = {(hi, 1): 0.25, (zero, 1): 0.0, (mid, 0): 0.5, (5, 0): 0.0}
+        model._kernels[(group.key(), alpha)] = TransitionKernel(
+            alpha, group, tuple(value_assignments(group)), entries, (0.75, 0.0))
+    p_in = StateDistribution(model.vset, {4: 0.5, 0: 0.0, 2: 0.25}, "numeric")
+    circ = Circuit(2, 1, preset_state("zero", 2, 1), "zero", (op,))
+    draws = (0.0, 0.25, 0.5, 0.6, 0.75, 0.9)
+    scripts = dict(enumerate((u, v) for u in draws for v in draws))
+
+    def scripted(seed):
+        """Stands in for random.Random(seed): replays the seed's draws."""
+        return SimpleNamespace(random=iter(scripts[seed]).__next__)
+
+    expected = {k: reference_simulate_run(circ, model, p_in, scripted(k), k) for k in scripts}
+    assert {r.final_vertex for r in expected.values()} == {2, 3, 6, 7}
+    monkeypatch.setattr(hvm, "random", SimpleNamespace(Random=scripted))
+    for k, rec in expected.items():
+        assert simulate_run(circ, model, p_in, k) == rec
+
+
+def test_warm_rerun_fills_nothing(qutrit_model):
+    """A second run of the same shots makes no plan build, table fill or
+    cache call: the counters move on cache calls, never per shot."""
+    model = HiddenVariableModel(qutrit_model.vset, mode="numeric")
+    rho = preset_state("strange", 3, 1)
+    circ = random_circuit(3, 1, 3, random.Random(21), clifford_generators(3, 1), rho, "strange")
+    dist = model.decompose(rho)
+    first = run_shots(circ, model, dist, 400, seed=4)
+    stats = dict(model.stats)
+    assert stats["plan_builds"] == 1 and stats["plan_fills"] > 0
+    assert stats["kernel_hits"] + stats["kernel_misses"] == stats["plan_fills"]
+    assert stats["perm_misses"] == len({id(op.element) for op in circ.ops if isinstance(op, CliffordOp)})
+    assert stats["decompose_misses"] >= 1
+    assert run_shots(circ, model, dist, 400, seed=4) == first
+    assert model.stats == stats
+    model.decompose(rho)
+    assert model.stats == {**stats, "decompose_hits": stats["decompose_hits"] + 1}
+    model.kernel(0, circ.ops[1].group())
+    stats = dict(model.stats)
+    model.kernel(0, circ.ops[1].group())
+    assert model.stats == {**stats, "kernel_hits": stats["kernel_hits"] + 1}
 
 
 CORRUPTED_MODEL_SCRIPT = textwrap.dedent("""
