@@ -310,7 +310,7 @@ class CycNumber:
                 return self, other
             m = lcm(self.order, other.order)
             return self.promoted(m), other.promoted(m)
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Fraction)):
             return self, CycNumber.from_rational(Fraction(other), self.order)
         return self, NotImplemented
 
@@ -463,7 +463,7 @@ class CycNumber:
     # -- comparisons / hashing-free keys -------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(Fraction(other), 1)
         if not isinstance(other, CycNumber):
             return NotImplemented

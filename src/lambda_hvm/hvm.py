@@ -392,7 +392,7 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
-        assignments = tuple(value_assignments(group))
+        assignments = _group_assignments(group)
         a_mat = self.vset[alpha].matrix
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
@@ -506,6 +506,12 @@ class MeasureOp:
 @lru_cache(maxsize=None)
 def _cyclic_group(point: PhasePoint) -> IsotropicSubgroup:
     return IsotropicSubgroup.from_generators(point.d, point.n, [point])
+
+
+@lru_cache(maxsize=None)
+def _group_assignments(group: IsotropicSubgroup) -> tuple[ValueAssignment, ...]:
+    """The group's value assignments, one frozen tuple shared by its kernels."""
+    return tuple(value_assignments(group))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
 """Exact feasibility LP: the rational split path, the field fallback and
 infeasibility, on seeded systems over the real subfields of Q(zeta_8)
-(sqrt 2) and Q(zeta_12) (sqrt 3), each answer rechecked exactly."""
+(sqrt 2) and Q(zeta_12) (sqrt 3), each answer rechecked exactly; and the
+integer rational simplex against the Fraction simplex it replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_hvm import exact_lp
+from lambda_hvm import exact_lp, hvm
 from lambda_hvm.cyclotomic import CycNumber, sqrt_int
 from lambda_hvm.exact_lp import feasible_point
-from lambda_hvm.hvm import HiddenVariableModel
+from lambda_hvm.hvm import HiddenVariableModel, MeasureOp, random_circuit
+from lambda_hvm.pauli import clifford_generators, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep, operator_coords
 from lambda_hvm.presets import preset_state
+from tests_support import reference_phase_one, reference_simplex
 
 # field order -> the square root generating its real subfield
 FIELDS = {8: 2, 12: 3}
@@ -40,23 +45,10 @@ def assert_solves(rows, b, x):
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Count the rational and the field simplex runs inside feasible_point."""
-    seen = {"rational": 0, "field": 0}
-    rational, field = exact_lp._rational_simplex, exact_lp._simplex
-
-    def counted_rational(rows, b):
-        seen["rational"] += 1
-        return rational(rows, b)
-
-    def counted_field(rows, b, conv, *rest):
-        if conv is exact_lp._to_cyc:
-            seen["field"] += 1
-        return field(rows, b, conv, *rest)
-
-    monkeypatch.setattr(exact_lp, "_rational_simplex", counted_rational)
-    monkeypatch.setattr(exact_lp, "_simplex", counted_field)
-    return seen
+def calls():
+    """Solves by path inside feasible_point, read as deltas of exact_lp.stats."""
+    start = dict(exact_lp.stats)
+    return lambda: {k: exact_lp.stats[k] - start[k] for k in ("rational", "split", "field")}
 
 
 @pytest.mark.parametrize("order", sorted(FIELDS))
@@ -74,7 +66,7 @@ def test_planted_rational_solution_takes_the_split_path(order, seed, calls):
     x = feasible_point(rows, b)
     assert x is not None and all(type(w) is Fraction for w in x)
     assert_solves(rows, b, x)
-    assert calls == {"rational": 1, "field": 0}
+    assert calls() == {"rational": 0, "split": 1, "field": 0}
 
 
 @pytest.mark.parametrize("order", sorted(FIELDS))
@@ -95,7 +87,7 @@ def test_planted_irrational_solution_falls_back_to_the_field(order, seed, calls)
     assert x is not None and all(isinstance(w, CycNumber) for w in x)
     assert all(w == p for w, p in zip(x, planted))
     assert_solves(rows, b, x)
-    assert calls["field"] == 1
+    assert calls()["field"] == 1
 
 
 def _det3(a):
@@ -114,7 +106,7 @@ def test_split_infeasible_but_field_feasible(calls):
     x = feasible_point(rows, b)
     assert x[0] == (2 + r2) * Fraction(1, 4)
     assert_solves(rows, b, x)
-    assert calls == {"rational": 1, "field": 1}
+    assert calls() == {"rational": 0, "split": 1, "field": 1}
 
 
 def test_qubit_t_state_needs_irrational_weights(calls):
@@ -130,7 +122,7 @@ def test_qubit_t_state_needs_irrational_weights(calls):
     assert_solves(rows, b, x)
     # the T coordinates are irrational against rational vertex columns, so a
     # split row reads 0 = c and the rational simplex is skipped
-    assert calls == {"rational": 0, "field": 1}
+    assert calls() == {"rational": 0, "split": 0, "field": 1}
     model = HiddenVariableModel(vset, mode="exact")
     assert model.decompose(preset_state("T", 2, 1)).weights == {i: w for i, w in enumerate(x) if w != 0}
 
@@ -142,7 +134,7 @@ def test_zero_split_row_skips_the_rational_simplex(calls):
     b = [r3 * Fraction(1, 2), Fraction(1, 2)]
     x = feasible_point(rows, b)
     assert x[0] == r3 * Fraction(1, 2) and x[1] == Fraction(1, 2)
-    assert calls == {"rational": 0, "field": 1}
+    assert calls() == {"rational": 0, "split": 0, "field": 1}
 
 
 @pytest.mark.parametrize("order", sorted(FIELDS))
@@ -156,13 +148,151 @@ def test_infeasible_on_both_paths(order, seed, calls):
             for _ in range(2)]
     b = [CycNumber.from_rational(-1, order), real_entry(rng, order)]
     assert feasible_point(rows, b) is None
-    assert calls == {"rational": 1, "field": 1}
+    assert calls() == {"rational": 0, "split": 1, "field": 1}
 
 
-def test_rational_input_skips_the_split():
+def test_rational_input_skips_the_split(calls):
     rows = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
     b = [Fraction(3), Fraction(2)]
     x = feasible_point(rows, b)
     assert all(type(w) is Fraction for w in x)
     assert_solves(rows, b, x)
     assert feasible_point([[Fraction(1)]], [Fraction(-1)]) is None
+    assert calls() == {"rational": 2, "split": 0, "field": 0}
+
+
+# -- the integer tableau against the Fraction simplex ---------------------------
+
+
+def assert_matches_reference(rows, b):
+    """Same point (or None) and pivot count as the reference Fraction simplex,
+    and the final integer tableau is D times the final Fraction tableau."""
+    start = exact_lp.stats["pivots"]
+    x = feasible_point(rows, b)
+    pivots = exact_lp.stats["pivots"] - start
+    expected, ref_pivots = reference_simplex(rows, b)
+    assert x == expected
+    assert x is None or all(type(w) is Fraction for w in x)
+    assert pivots == ref_pivots
+
+    tab, cost, det, basis = exact_lp._integer_phase_one(rows, b)
+    ref_tab, ref_rhs, ref_cost, ref_obj, ref_basis, _ = reference_phase_one(rows, b)
+    assert det > 0 and basis == ref_basis
+    assert all(type(v) is int for row in (*tab, cost) for v in row)
+    assert tab == [[det * v for v in (*row, r)] for row, r in zip(ref_tab, ref_rhs)]
+    assert cost == [det * v for v in (*ref_cost, ref_obj)]
+    return pivots
+
+
+@st.composite
+def rational_lps(draw):
+    """Small rational systems with degenerate ties: zero and repeated columns,
+    zero right-hand sides, rows whose own denominators differ."""
+    m = draw(st.integers(1, 5))
+    cols = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        cols.append(list(draw(st.sampled_from(cols))))
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), [0] * m)
+    dens = draw(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=m, max_size=m))
+    rows = [[Fraction(col[i], dens[i]) for col in cols] for i in range(m)]
+    if draw(st.booleans()):
+        # a planted point, often with zeros, so ratio ties are common
+        x = draw(st.lists(st.sampled_from((0, 0, 1, 2, Fraction(1, 2))),
+                          min_size=len(cols), max_size=len(cols)))
+        b = [sum((a * w for a, w in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        b = [Fraction(draw(st.integers(-3, 3)), den) for den in dens]
+    return rows, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_lps())
+def test_rational_path_matches_the_fraction_simplex(lp):
+    assert_matches_reference(*lp)
+
+
+def test_row_denominators_scale_each_row_on_its_own():
+    # Row 1 mixes halves and thirds (lcm 6), row 2 is in halves (lcm 2), so
+    # D0 = 12.  One lcm over the whole tableau would start from D = 6, floor
+    # entries that are no longer integers and return (2/3, 0, 1), which is
+    # not even a solution.
+    rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
+            [Fraction(1, 2), Fraction(1, 2), Fraction(1)]]
+    b = [Fraction(1, 3), Fraction(3, 2)]
+    assert assert_matches_reference(rows, b) == 3
+    assert feasible_point(rows, b) == [Fraction(0), Fraction(1), Fraction(1)]
+
+
+def _recorded_lps(monkeypatch, run):
+    """The distinct systems that feasible_point receives from the model during run()."""
+    seen = {}
+    solve = hvm.feasible_point
+
+    def record(rows, b):
+        seen.setdefault(repr((rows, b)), (rows, b))
+        return solve(rows, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hvm, "feasible_point", record)
+        run()
+    return list(seen.values())
+
+
+def _rational_systems(lps):
+    """Each system as the rational simplex sees it: itself, or its split rows."""
+    out = []
+    for rows, b in lps:
+        if exact_lp._is_rational(rows, b):
+            out.append((rows, b))
+        else:
+            split = exact_lp._split_rows(rows, b)
+            if split is not None:
+                out.append(split)
+    return out
+
+
+def test_qutrit_kernel_lps_match_the_fraction_simplex(monkeypatch):
+    # all 324 kernels; at n = 1 a post-measurement state depends only on the
+    # line and the outcome, so they solve 12 distinct LPs
+    vset = enumerate_vertices(lambda_hrep(3, 1))
+    model = HiddenVariableModel(vset, mode="exact")
+    groups = {}
+    for p in phase_space(3, 1):
+        if not p.is_zero():
+            g = MeasureOp(p).group()
+            groups.setdefault(g.key(), g)
+
+    def run():
+        for g in groups.values():
+            for alpha in range(len(vset)):
+                model.kernel(alpha, g)
+
+    lps = _recorded_lps(monkeypatch, run)
+    systems = _rational_systems(lps)
+    assert len(lps) == len(systems) == 12
+    pivots = [assert_matches_reference(rows, b) for rows, b in systems]
+    assert min(pivots) >= 2
+
+
+def test_job_panel_lps_match_the_fraction_simplex(monkeypatch):
+    # the first 10 circuits of the job-exact-d2 benchmark panel
+    vset = enumerate_vertices(lambda_hrep(2, 1))
+    gates = clifford_generators(2, 1)
+    states = {name: preset_state(name, 2, 1) for name in ("T", "H")}
+
+    def run():
+        for j in range(10):
+            name = "T" if j % 2 == 0 else "H"
+            circuit = random_circuit(2, 1, 8, random.Random(f"job-exact-d2/job/{j}"), gates,
+                                     states[name], name)
+            model = HiddenVariableModel(vset, mode="exact")
+            model.decompose(circuit.state)
+            hvm.verify_circuit_born(circuit, model)
+
+    # 8 distinct systems; the T and H input states need the field
+    lps = _recorded_lps(monkeypatch, run)
+    systems = _rational_systems(lps)
+    assert len(lps) == 8 and len(systems) == 6
+    for rows, b in systems:
+        assert_matches_reference(rows, b)

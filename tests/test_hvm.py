@@ -210,6 +210,24 @@ def test_shared_model_kernels_equal_fresh_model_kernels(qutrit_exact_model):
         assert kernel_line(gi, fresh.kernel(alpha, groups[gi])) == line
 
 
+def test_kernels_share_each_groups_value_assignments(qutrit_exact_model):
+    # Kernels on one line hold one assignments tuple, across models and for
+    # an equal group built again; each assignment reads what it read before.
+    vset = qutrit_exact_model.vset
+    point = PhasePoint.unit_z(3, 1)
+    group = MeasureOp(point).group()
+    rebuilt = IsotropicSubgroup.from_generators(3, 1, [point])
+    assert rebuilt is not group
+    first = HiddenVariableModel(vset, mode="exact").kernel(0, group)
+    second = HiddenVariableModel(vset, mode="exact").kernel(5, rebuilt)
+    assert first.assignments is second.assignments
+    expected = value_assignments(group)
+    assert len(first.assignments) == len(expected) == 3
+    for r, ref in zip(first.assignments, expected):
+        assert [r(p) for p in group] == [ref(p) for p in group]
+    assert sorted(r(point) for r in first.assignments) == [0, 1, 2]
+
+
 def test_qutrit_kernel_table_is_pinned(qutrit_exact_model):
     model = qutrit_exact_model
     lines = [kernel_line(gi, model.kernel(alpha, group))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.exact_lp import feasible_point
 from lambda_hvm.hvm import CliffordOp, ShotRecord
 from lambda_hvm.polytope import (additive_assignments, operator_coords,
@@ -69,3 +70,82 @@ def reference_run_shots(circuit, model, p_in, shots, seed):
         rec = reference_simulate_run(circuit, model, p_in, random.Random(shot_seed), shot_seed)
         records.append(ShotRecord(k, rec.outcomes, rec.final_vertex))
     return records
+
+
+def reference_phase_one(a_rows, b):
+    """The phase-I Bland simplex on a Fraction tableau that the integer
+    tableau replaced, kept to compare against.
+
+    Returns the final (tab, rhs, cost, obj, basis, pivots): tab is [A | I]
+    after the last pivot, cost the phase-I reduced costs, obj the artificial sum.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0])
+    tab = []
+    rhs = []
+    for row, bi in zip(a_rows, b):
+        r = [_fraction(x) for x in row]
+        v = _fraction(bi)
+        if v < 0:
+            r = [-x for x in r]
+            v = -v
+        tab.append(r)
+        rhs.append(v)
+    for i in range(m):
+        tab[i].extend(Fraction(int(i == j)) for j in range(m))
+    basis = [n + i for i in range(m)]
+    cost = []
+    for j in range(n + m):
+        s = sum((tab[i][j] for i in range(m)), Fraction(0))
+        cost.append(s if j < n else s - 1)
+    obj = sum(rhs, Fraction(0))
+    pivots = 0
+
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise ArithmeticError("unbounded phase-I simplex")
+        inv = 1 / tab[leave][enter]
+        tab[leave] = [x * inv for x in tab[leave]]
+        rhs[leave] = rhs[leave] * inv
+        for i in range(m):
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                rhs[i] = rhs[i] - f * rhs[leave]
+        f = cost[enter]
+        if f != 0:
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            obj = obj - f * rhs[leave]
+        basis[leave] = enter
+        pivots += 1
+    return tab, rhs, cost, obj, basis, pivots
+
+
+def reference_simplex(a_rows, b):
+    """(point or None, pivots) of the reference Fraction simplex on a rational system."""
+    tab, rhs, cost, obj, basis, pivots = reference_phase_one(a_rows, b)
+    if obj != 0:
+        return None, pivots
+    n = len(tab[0]) - len(tab)
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rhs[i]
+        elif rhs[i] != 0:
+            raise AssertionError("artificial variable with nonzero value at optimum")
+    return x, pivots
+
+
+def _fraction(x):
+    return x.as_fraction() if isinstance(x, CycNumber) else Fraction(x)
