@@ -35,6 +35,16 @@ the kernel entries sort, so shot records are byte-identical to a loop that
 accumulates the weights one by one.  The model's `stats` count kernel,
 permutation and decomposition cache hits and misses, plan builds and table
 fills; nothing is counted per shot.
+
+The oracle evaluates the Born chain rule densely and exactly, branch by
+branch, but computes each op's transition only once per distinct state in a
+memo that lives for one op of one call.  The memo is keyed on the exact
+representation (order, num, den) of the state's entries, so the branches,
+their probabilities and the floats `oracle_distribution` sums are
+byte-identical to evaluating every branch on its own.  `oracle_stats` counts,
+for the life of the process, the transitions computed, the branch-layers
+served from the memo and the final branches returned.  `verify_circuit_born`
+runs the same Born-transition helper on the one branch it follows.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ __all__ = [
     "ShotRecord",
     "oracle_simulate",
     "oracle_distribution",
+    "oracle_stats",
     "OracleBranch",
     "verify_circuit_born",
     "chi_square",
@@ -470,11 +481,16 @@ def born_rule_aggregate(model: HiddenVariableModel, dist: StateDistribution,
     Equals Tr(Pi_I^r rho) for the state the distribution reconstructs; exact
     in exact mode.
     """
-    assignments = value_assignments(group)
     kerns = {a: model.kernel(a, group) for a in dist.weights}
+    return _aggregate(model.mode, dist, group, kerns)
+
+
+def _aggregate(mode: str, dist: StateDistribution, group: IsotropicSubgroup,
+               kerns: dict[int, TransitionKernel]) -> list[tuple[ValueAssignment, object]]:
+    """born_rule_aggregate over kernels already looked up for dist's support."""
     out = []
-    for ri, r in enumerate(assignments):
-        if model.mode == "exact":
+    for ri, r in enumerate(_group_assignments(group)):
+        if mode == "exact":
             acc = CycNumber.zero()
             for a, w in dist.weights.items():
                 acc = acc + kerns[a].marginals[ri] * w
@@ -622,39 +638,96 @@ class OracleBranch:
         return float(self.probability)
 
 
+def _state_key(mat: CycMatrix) -> tuple:
+    """The exact representation of mat's entries, in row order: equal keys
+    mean the same inputs to the same code, hence identical results."""
+    return tuple((x.order, x.num, x.den) for row in mat.data for x in row)
+
+
+def _born_transition(group: IsotropicSubgroup, rho: CycMatrix
+                     ) -> tuple[list[CycNumber], Callable[[int], CycMatrix]]:
+    """(probabilities, post) of measuring group on rho.
+
+    probabilities[ri] = Tr(Pi_I^r rho) for the ri-th of the group's value
+    assignments; post(ri) = Pi_I^r rho Pi_I^r / probabilities[ri], the state
+    after that outcome, built only when asked for.
+    """
+    probs = []
+    for r in _group_assignments(group):
+        p = trace_with_projector(group, r, rho)
+        if not p.is_real():
+            raise AssertionError("Born probability must be real")
+        probs.append(p)
+
+    def post(ri: int) -> CycMatrix:
+        proj = group_projector_matrix(group, _group_assignments(group)[ri])
+        return (proj @ rho @ proj).scale(probs[ri].inverse())
+
+    return probs, post
+
+
+def _oracle_moves(op: Union[CliffordOp, MeasureOp], rho: CycMatrix) -> list[tuple]:
+    """The (outcome suffix, probability or None, post-state, its key) moves
+    of one op on rho: the Clifford image, or every outcome of positive Born
+    probability in value-assignment order."""
+    if isinstance(op, CliffordOp):
+        image = op.element.apply(rho)
+        return [((), None, image, _state_key(image))]
+    group = op.group()
+    probs, post = _born_transition(group, rho)
+    moves = []
+    for ri, (r, p) in enumerate(zip(_group_assignments(group), probs)):
+        if p.sign() > 0:
+            state = post(ri)
+            moves.append(((r(op.point),), p, state, _state_key(state)))
+    return moves
+
+
+oracle_stats = {"transitions": 0, "reused": 0, "branches": 0}
+
+
 def oracle_simulate(circuit: Circuit) -> list[OracleBranch]:
     """Dense exact chain-rule evaluation of every outcome sequence.
 
-    Zero-probability branches are pruned by exact sign tests; returned
-    probabilities sum to one.
+    Each op's transition (the Clifford image, or the outcomes of positive
+    Born probability with their post-states) is computed once per distinct
+    state and shared by every branch that reaches it; the memo is keyed on
+    the exact representation of the state's entries and dropped when the op
+    is done.  Equal keys run identical code on identical inputs, so the
+    branches, their order and their probabilities are exactly those of
+    evaluating every branch on its own.  Zero-probability outcomes are
+    pruned by exact sign tests; returned probabilities sum to one.
     """
-    branches = [OracleBranch((), CycNumber.one(), circuit.state)]
+    state = circuit.state
+    branches = [((), CycNumber.one(), state, _state_key(state))]
     for op in circuit.ops:
+        memo: dict[tuple, list[tuple]] = {}
         nxt = []
-        if isinstance(op, CliffordOp):
-            for br in branches:
-                nxt.append(OracleBranch(br.outcomes, br.probability, op.element.apply(br.state)))
-        else:
-            group = op.group()
-            assignments = value_assignments(group)
-            for br in branches:
-                for r in assignments:
-                    p = trace_with_projector(group, r, br.state)
-                    if not p.is_real():
-                        raise AssertionError("Born probability must be real")
-                    if p.sign() <= 0:
-                        continue
-                    proj = group_projector_matrix(group, r)
-                    post = (proj @ br.state @ proj).scale(p.inverse())
-                    nxt.append(OracleBranch(br.outcomes + (r(op.point),), br.probability * p, post))
+        for outcomes, prob, rho, key in branches:
+            moves = memo.get(key)
+            if moves is None:
+                moves = memo[key] = _oracle_moves(op, rho)
+            for suffix, p, post, post_key in moves:
+                nxt.append((outcomes + suffix, prob if p is None else prob * p, post, post_key))
+        oracle_stats["transitions"] += len(memo)
+        oracle_stats["reused"] += len(branches) - len(memo)
         branches = nxt
-    return branches
+    oracle_stats["branches"] += len(branches)
+    return [OracleBranch(outcomes, prob, rho) for outcomes, prob, rho, _ in branches]
 
 
 def oracle_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
+    """Outcome sequence -> float probability; each distinct exact
+    probability is converted once."""
     out: dict[tuple[int, ...], float] = {}
+    floats: dict[tuple, float] = {}
     for br in oracle_simulate(circuit):
-        out[br.outcomes] = out.get(br.outcomes, 0.0) + br.prob_float()
+        p = br.probability
+        key = (p.order, p.num, p.den)
+        f = floats.get(key)
+        if f is None:
+            f = floats[key] = br.prob_float()
+        out[br.outcomes] = out.get(br.outcomes, 0.0) + f
     return out
 
 
@@ -687,26 +760,21 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
                                      dist.mode)
             continue
         group = op.group()
-        aggregate = born_rule_aggregate(model, dist, group)
-        probs_qm = []
-        for r, p_sim in aggregate:
-            p_qm = trace_with_projector(group, r, rho)
+        kerns = {a: model.kernel(a, group) for a in dist.weights}
+        probs_qm, post = _born_transition(group, rho)
+        for (_, p_sim), p_qm in zip(_aggregate(model.mode, dist, group, kerns), probs_qm):
             if exact:
                 _verify(p_sim == p_qm, "Born aggregate differs from the oracle")
             else:
                 err = abs(p_sim - float(p_qm))
                 _verify(err <= tol, f"Born aggregate off by {err}")
                 max_prob_err = max(max_prob_err, err)
-            probs_qm.append(p_qm)
         layers += 1
         # descend into the most likely branch
         floats = [float(p) for p in probs_qm]
         ri = max(range(len(floats)), key=lambda i: (floats[i], -i))
-        r = aggregate[ri][0]
         p_qm = probs_qm[ri]
-        kerns = {a: model.kernel(a, group) for a in dist.weights}
-        proj = group_projector_matrix(group, r)
-        rho = (proj @ rho @ proj).scale(p_qm.inverse())
+        rho = post(ri)
         posterior: dict[int, object] = {}
         for a, w in dist.weights.items():
             for beta, q in kerns[a].branch(ri):

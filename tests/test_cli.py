@@ -178,6 +178,18 @@ def test_verify_command(capsys):
     assert doc["passed"] and all(c["passed"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_verify_hvm_suite(capsys, d):
+    """The hvm suite: exact at d=2, numeric at d=3; it runs the layered Born
+    check and the sampled frequencies against the oracle."""
+    code, stdout, _ = run(capsys, "verify", "--suite", "hvm", "-d", d, "-n", "1")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["passed"] and all(c["passed"] for c in doc["checks"])
+    layered = next(c for c in doc["checks"] if c["name"] == "layered_born_and_poststate")
+    assert f"mode={'exact' if d == '2' else 'numeric'}" in layered["detail"]
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus", "-d", "2", "-n", "1"])

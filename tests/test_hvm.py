@@ -18,13 +18,15 @@ from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             HiddenVariableModel, MeasureOp, StateDistribution,
                             TransitionKernel, chi_square, oracle_distribution,
                             oracle_simulate, random_circuit, run_shots,
-                            simulate_run, verify_circuit_born)
+                            simulate_run, trace_with_projector, verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep
 from lambda_hvm.presets import preset_names, preset_state
-from lambda_hvm.stabilizer import IsotropicSubgroup, value_assignments
-from tests_support import reference_run_shots, reference_simulate_run
+from lambda_hvm.stabilizer import (IsotropicSubgroup, group_projector_matrix,
+                                   value_assignments)
+from tests_support import (reference_oracle_simulate, reference_run_shots,
+                           reference_simulate_run)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +271,127 @@ def test_oracle_examples():
     dist3 = oracle_distribution(circ3)
     assert len(dist3) == 3
     assert all(abs(p - 1 / 3) < 1e-14 for p in dist3.values())
+
+
+def _branch_lines(branches):
+    return [(br.outcomes, br.probability.serialize(),
+             tuple(x.serialize() for row in br.state.data for x in row)) for br in branches]
+
+
+def _assert_oracle_equals_reference(circ):
+    """oracle_simulate gives the reference loop's branches in order, and
+    oracle_distribution its per-outcome float sums, bit for bit."""
+    expected = reference_oracle_simulate(circ)
+    assert _branch_lines(oracle_simulate(circ)) == _branch_lines(expected)
+    sums: dict = {}
+    for br in expected:
+        sums[br.outcomes] = sums.get(br.outcomes, 0.0) + br.prob_float()
+    got = oracle_distribution(circ)
+    assert list(got) == list(sums)
+    assert [p.hex() for p in got.values()] == [p.hex() for p in sums.values()]
+    return expected
+
+
+def test_oracle_equals_reference_loop_on_job_panel():
+    """The 100 depth-8 d=2 circuits of the job-exact-d2 benchmark panel."""
+    gens = clifford_generators(2, 1)
+    states = {name: preset_state(name, 2, 1) for name in ("T", "H")}
+    total = 0
+    for j in range(100):
+        name = "T" if j % 2 == 0 else "H"
+        circ = random_circuit(2, 1, 8, random.Random(f"job-exact-d2/job/{j}"), gens, states[name], name)
+        total += len(_assert_oracle_equals_reference(circ))
+    assert total == 8800
+
+
+@pytest.mark.parametrize("d,state", [(3, "strange"), (3, "norrell"), (3, "zero"), (4, "zero")])
+def test_oracle_equals_reference_loop_with_pruning(d, state):
+    """Seeded depth-4 circuits whose zero-probability outcomes are pruned."""
+    gens = clifford_generators(d, 1)
+    rho = preset_state(state, d, 1)
+    pruned = False
+    for k in range(6):
+        circ = random_circuit(d, 1, 4, random.Random(f"oracle/{d}/{state}/{k}"), gens, rho, state)
+        branches = _assert_oracle_equals_reference(circ)
+        pruned = pruned or len(branches) < d ** circ.measurement_count()
+    assert pruned
+
+
+def test_oracle_equals_reference_loop_on_states_equal_but_for_denominators():
+    """A classically correlated two-qubit input (|0><0| x s0 + |1><1| x s1)/2
+    with s0 = [[1/2, 1/4], [1/4, 1/2]] and s1 = |+><+|.  Measuring Z1 then
+    X1 leaves branches |+><+| x s0 and |+><+| x s1 side by side, whose
+    entries differ only in their denominators; X2 then has two outcomes on
+    one and one on the other.  The branch probabilities 1/16 and 1/4 share
+    their numerators."""
+    q = Fraction(1, 4)
+    rho = CycMatrix([[q, q / 2, 0, 0], [q / 2, q, 0, 0], [0, 0, q, q], [0, 0, q, q]])
+    points = (PhasePoint.unit_z(2, 2, 0), PhasePoint.unit_x(2, 2, 0), PhasePoint.unit_x(2, 2, 1))
+    circ = Circuit(2, 2, rho, "custom", tuple(MeasureOp(p) for p in points))
+    branches = _assert_oracle_equals_reference(circ)
+    assert [(br.outcomes, br.probability) for br in branches[-3:]] == [
+        ((0, 1, 1), Fraction(1, 16)), ((1, 0, 0), q), ((1, 1, 0), q)]
+
+
+def test_oracle_state_key_keeps_order_numerators_and_denominators():
+    """Keys tell apart matrices whose entries differ in any one part of their
+    exact representation, the declared order of equal values included.
+    Every branch of one layer has the same entry orders, so no circuit
+    shows the order part."""
+    def key(off, order=1):
+        half = CycNumber.from_rational(Fraction(1, 2), order)
+        off = CycNumber.from_rational(off, order)
+        return hvm._state_key(CycMatrix([[half, off], [off, half]]))
+
+    base = key(Fraction(1, 4))
+    assert base == key(Fraction(1, 4))
+    assert len({base, key(Fraction(1, 4), order=2), key(Fraction(1, 2)), key(Fraction(3, 4))}) == 4
+
+
+def test_oracle_stats_count_transitions_and_reuse():
+    """T, then H and a Z measurement three times: the branches double at
+    each measurement, but after the first one every op sees only two
+    distinct states."""
+    h = next(g for g in clifford_generators(2, 1) if g.name == "F0")
+    ops = (CliffordOp(h, "H"), z_measure(2)) * 3
+    circ = Circuit(2, 1, preset_state("T", 2, 1), "T", ops)
+    before = dict(hvm.oracle_stats)
+    branches = oracle_simulate(circ)
+    delta = {k: hvm.oracle_stats[k] - before[k] for k in before}
+    # branches entering each op: 1, 1, 2, 2, 4, 4; distinct states: 1, 1, 2, 2, 2, 2
+    branch_layers = 14
+    assert delta == {"transitions": 10, "reused": branch_layers - 10, "branches": len(branches)}
+    assert len(branches) == 8
+
+
+def test_verify_looks_each_kernel_up_once_per_layer(qubit_model):
+    """One verify_circuit_born call makes one kernel call per support vertex
+    of the walked distribution at each measurement."""
+    rho = preset_state("T", 2, 1)
+    circ = random_circuit(2, 1, 5, random.Random(31), clifford_generators(2, 1), rho, "T")
+    # the walk verify_circuit_born takes, on a warm model
+    support = set(qubit_model.decompose(rho).weights)
+    state = rho
+    expected = 0
+    for op in circ.ops:
+        if isinstance(op, CliffordOp):
+            perm = qubit_model.clifford_permutation(op.element)
+            support = {perm[a] for a in support}
+            state = op.element.apply(state)
+            continue
+        expected += len(support)
+        group = op.group()
+        assignments = value_assignments(group)
+        probs = [trace_with_projector(group, r, state) for r in assignments]
+        ri = max(range(len(probs)), key=lambda i: (float(probs[i]), -i))
+        support = {beta for a in support for beta, _ in qubit_model.kernel(a, group).branch(ri)}
+        proj = group_projector_matrix(group, assignments[ri])
+        state = (proj @ state @ proj).scale(probs[ri].inverse())
+    model = HiddenVariableModel(qubit_model.vset, mode="exact")
+    before = model.stats["kernel_hits"] + model.stats["kernel_misses"]
+    verify_circuit_born(circ, model)
+    assert model.stats["kernel_hits"] + model.stats["kernel_misses"] - before == expected
+    assert expected > circ.measurement_count()
 
 
 def test_circuit_validation():

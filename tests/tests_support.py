@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.exact_lp import feasible_point
-from lambda_hvm.hvm import CliffordOp, ShotRecord
+from lambda_hvm.hvm import CliffordOp, OracleBranch, ShotRecord, trace_with_projector
 from lambda_hvm.polytope import (additive_assignments, operator_coords,
                                  wigner_operator)
+from lambda_hvm.stabilizer import group_projector_matrix, value_assignments
 
 
 def is_uniform_phase_point_average(img, d, n):
@@ -70,6 +71,32 @@ def reference_run_shots(circuit, model, p_in, shots, seed):
         rec = reference_simulate_run(circuit, model, p_in, random.Random(shot_seed), shot_seed)
         records.append(ShotRecord(k, rec.outcomes, rec.final_vertex))
     return records
+
+
+def reference_oracle_simulate(circuit):
+    """The dense oracle loop that the state-keyed memo replaced, kept to
+    compare against: every op is evaluated on every branch on its own."""
+    branches = [OracleBranch((), CycNumber.one(), circuit.state)]
+    for op in circuit.ops:
+        nxt = []
+        if isinstance(op, CliffordOp):
+            for br in branches:
+                nxt.append(OracleBranch(br.outcomes, br.probability, op.element.apply(br.state)))
+        else:
+            group = op.group()
+            assignments = value_assignments(group)
+            for br in branches:
+                for r in assignments:
+                    p = trace_with_projector(group, r, br.state)
+                    if not p.is_real():
+                        raise AssertionError("Born probability must be real")
+                    if p.sign() <= 0:
+                        continue
+                    proj = group_projector_matrix(group, r)
+                    post = (proj @ br.state @ proj).scale(p.inverse())
+                    nxt.append(OracleBranch(br.outcomes + (r(op.point),), br.probability * p, post))
+        branches = nxt
+    return branches
 
 
 def reference_phase_one(a_rows, b):
