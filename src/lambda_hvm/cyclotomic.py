@@ -453,9 +453,8 @@ class CycNumber:
         return (self + self.conjugate()) / 2
 
     def imag_part(self) -> "CycNumber":
-        # i = zeta_4; promotes into an order divisible by 4 when needed
-        i_unit = CycNumber.root_of_unity(lcm(self.order, 4), lcm(self.order, 4) // 4)
-        return (self - self.conjugate()) / (2 * i_unit)
+        # (x - conj x) / (2i) with i = zeta_4, in an order divisible by 4
+        return (self - self.conjugate()) * _inverse_two_i(lcm(self.order, 4))
 
     def abs_squared(self) -> "CycNumber":
         return self * self.conjugate()
@@ -585,6 +584,12 @@ def zeta(order: int, power: int = 1) -> CycNumber:
 
 def rational(x) -> CycNumber:
     return CycNumber.from_rational(x)
+
+
+@lru_cache(maxsize=None)
+def _inverse_two_i(order: int) -> CycNumber:
+    """1 / (2 zeta_4) in Q(zeta_order), for order divisible by 4."""
+    return (2 * zeta(order, order // 4)).inverse()
 
 
 @lru_cache(maxsize=None)

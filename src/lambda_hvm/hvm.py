@@ -24,6 +24,12 @@ Each model memoises the decompositions it has found and verified, keyed on
 the exact coordinates of the operator, in both modes: at n=1 every vertex on
 a measurement line has the same post-measurement state for a given outcome.
 
+A Clifford unitary acts on the vertices by conjugation, and the model computes
+that permutation on Pauli-coefficient labels: U T_a U^dag = omega^{k_a}
+T_{S(a)} sends the coefficient x_a of a vertex to the slot S(a), times
+omega^{k_a}, and the image is looked up by its coefficients, with no dense
+matrix product.
+
 Sampling runs on a plan the model compiles once per circuit: a Clifford op
 becomes its vertex permutation as a list, and a measurement a table that
 maps alpha to the running float sums of its kernel's weights in sorted
@@ -372,13 +378,37 @@ class HiddenVariableModel:
     # -- Clifford dynamics ------------------------------------------------------
 
     def clifford_permutation(self, u: CliffordElement) -> dict[int, int]:
+        """The vertex map alpha -> beta with U A_alpha U^dag = A_beta.
+
+        Acts on Pauli-coefficient labels: A = (1/D) sum_a x_a T_a and
+        U T_a U^dag = omega^{k_a} T_{S(a)} give the image the coefficients
+        y_{S(a)} = omega^{k_a} x_a, which are looked up in the vertex set's
+        label index.  Raises VertexSetIncomplete if an image is missing or
+        the map is not a bijection.  Memoised per model on the element.
+        """
         entry = self._perms.get(id(u))
         if entry is None:
             self.stats["perm_misses"] += 1
+            slots, coefficients, index = self.vset.label_index
+            d = self.vset.d
+            omega = [zeta(pauli_order(d), (1 if d % 2 else 2) * k) for k in range(d)]
+            moves = []
+            for a in slots:
+                k, image = u.conjugate_label(a)
+                moves.append((k, slots[image]))
+            # the products repeat across vertices: memoise them on (k, x)
+            products: dict[tuple, tuple] = {}
             mapping: dict[int, int] = {}
-            for v in self.vset:
-                image = u.apply(v.matrix)
-                idx = self.vset.lookup_matrix(image)
+            for v, xs in zip(self.vset, coefficients):
+                key: list = [None] * len(xs)
+                for (k, slot), x in zip(moves, xs):
+                    memo = (k, x.num, x.den)
+                    y = products.get(memo)
+                    if y is None:
+                        y = omega[k] * x
+                        y = products[memo] = (y.num, y.den)
+                    key[slot] = y
+                idx = index.get(tuple(key))
                 if idx is None:
                     raise VertexSetIncomplete(
                         f"Clifford image of vertex {v.index} not in the vertex set")

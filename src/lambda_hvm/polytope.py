@@ -9,7 +9,8 @@ so that Tr(P X) is an exact linear functional; all coordinates are real
 cyclotomic numbers.  A vertex certificate is exact: every inequality holds,
 and the facets active at the point span (after projecting out the trace
 direction) a space of dimension D^2 - 1, making the point the unique
-solution of its active system.
+solution of its active system.  The rank is certified modulo a prime, with
+an exact fallback whenever that comes out short.
 
 Vertex enumeration is exact and complete: double description on the facet
 cone, with brute force over active subsets kept as the reference method.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -48,6 +49,7 @@ __all__ = [
     "VertexCertificate",
     "VertexRejection",
     "certify_vertex",
+    "stats",
     "VertexSet",
     "enumerate_vertices",
     "cnc_phase_point",
@@ -65,6 +67,11 @@ __all__ = [
     "save_facet_file",
     "load_facet_file",
 ]
+
+
+# certify_vertex calls by the path that decided the rank: "modp" certified
+# modulo a prime, "exact" fell back to the exact rank.
+stats = {"modp": 0, "exact": 0}
 
 
 def coord_order(d: int) -> int:
@@ -149,14 +156,18 @@ def coords_key(coords: Sequence[CycNumber], d: int) -> Optional[tuple]:
     order = coord_order(d)
     out = []
     for c in coords:
-        if order % c.order == 0:
-            p = c.promoted(order)
-        else:
-            p = c.demoted(order)
-            if p is None:
-                return None
+        p = _in_field(c, order)
+        if p is None:
+            return None
         out.append((p.num, p.den))
     return tuple(out)
+
+
+def _in_field(x: CycNumber, order: int) -> Optional[CycNumber]:
+    """x declared at exactly this order, or None if it lies outside Q(zeta_order)."""
+    if order % x.order == 0:
+        return x.promoted(order)
+    return x.demoted(order)
 
 
 def _dot(f: Sequence[CycNumber], x: Sequence[CycNumber]) -> CycNumber:
@@ -207,6 +218,12 @@ class LambdaHRep:
         dim = self.d ** self.n
         one, zero = CycNumber.one(), CycNumber.zero()
         return tuple([one] * dim + [zero] * (dim * dim - dim))
+
+    @cached_property
+    def _facets_mod_p(self) -> tuple[int, list[Optional[list[int]]]]:
+        """(p, images): every facet functional restricted to the trace-zero
+        subspace, mapped into GF(p) once for certify_vertex (_rows_mod_p)."""
+        return _rows_mod_p(_projected_rows(self, range(self.facet_count())))
 
 
 def hrep_from_operators(d: int, n: int, named_ops: Iterable[tuple[str, CycMatrix]]) -> LambdaHRep:
@@ -276,33 +293,120 @@ def _projected_rows(hrep: LambdaHRep, indices: Iterable[int]) -> list[list[CycNu
     return rows
 
 
-def _greedy_independent(rows: list[list[CycNumber]], target: int) -> list[int]:
-    """Float Gram-Schmidt preselection of a likely-independent row subset."""
-    import numpy as np
+# Any prime p = 1 (mod N) gives a sound certificate.  A large one makes it
+# unlikely that p divides a nonzero minor, which would only send the point
+# to the exact rank.
+_MODP_FLOOR = 1 << 61
 
-    basis: list = []
-    chosen: list[int] = []
-    for idx, row in enumerate(rows):
-        v = np.array([x.approx().real for x in row], dtype=float)
-        for b in basis:
-            v = v - (v @ b) * b
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            basis.append(v / norm)
-            chosen.append(idx)
-            if len(chosen) == target:
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2:
+        return False
+    for q in bases:
+        if m % q == 0:
+            return m == q
+    s, t = 0, m - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in bases:
+        x = pow(a, t, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
                 break
-    return chosen
+        else:
+            return False
+    return True
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + ([m] if m > 1 else [])
+
+
+@lru_cache(maxsize=None)
+def _modp_field(order: int) -> tuple[int, int]:
+    """(p, z): the first prime p = 1 (mod order) above 2^61, and a primitive
+    order-th root of unity z mod p, so zeta_order -> z is a ring map."""
+    p = _MODP_FLOOR - _MODP_FLOOR % order + 1
+    while not _is_prime(p):
+        p += order
+    factors = _prime_factors(order)
+    for h in itertools.count(2):
+        z = pow(h, (p - 1) // order, p)
+        if all(pow(z, order // q, p) != 1 for q in factors):
+            return p, z
+
+
+def _rows_mod_p(rows: list[list[CycNumber]]) -> tuple[int, list[Optional[list[int]]]]:
+    """(p, images): each row mapped entrywise into GF(p) under zeta_N -> z,
+    N the lcm of the entry orders; None for a row where p divides a
+    denominator.
+
+    The map is a ring map, so a minor that is nonzero mod p is nonzero in
+    the field: the rank of the images is a lower bound on the exact rank.
+    """
+    order = lcm(1, *(x.order for row in rows for x in row))
+    p, z = _modp_field(order)
+    powers: dict[int, list[int]] = {}
+    images = []
+    for row in rows:
+        vec: Optional[list[int]] = []
+        for x in row:
+            if x.den % p == 0:
+                vec = None
+                break
+            tab = powers.get(x.order)
+            if tab is None:
+                root = pow(z, order // x.order, p)
+                tab = powers[x.order] = [pow(root, k, p) for k in range(len(x.num))]
+            vec.append(sum(c * t for c, t in zip(x.num, tab)) * pow(x.den, -1, p) % p)
+        images.append(vec)
+    return p, images
+
+
+def _rank_mod_p(images: Sequence[Optional[list[int]]], p: int, target: int) -> Optional[int]:
+    """Rank of the row images over GF(p), counted up to target; None
+    (undecided) if any row has no image."""
+    if any(vec is None for vec in images):
+        return None
+    pivots: dict[int, list[int]] = {}
+    for vec in images:
+        for col, prow in pivots.items():
+            f = vec[col]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, prow)]
+        col = next((j for j, a in enumerate(vec) if a), None)
+        if col is None:
+            continue
+        inv = pow(vec[col], -1, p)
+        pivots[col] = [a * inv % p for a in vec]
+        if len(pivots) == target:
+            break
+    return len(pivots)
 
 
 def certify_vertex(coords: Sequence[CycNumber], hrep: LambdaHRep):
     """Exact vertex certificate for a trace-one operator, or a rejection.
 
-    Checks every facet inequality and that the active functionals pin the
-    point uniquely inside the trace-one affine space (projected rank
-    D^2 - 1).  A float Gram-Schmidt pass preselects candidate rows; the
-    certificate itself is always an exact rank computation, with a full
-    exact fallback before any rejection.
+    Checks every facet inequality exactly and that the active functionals
+    pin the point uniquely inside the trace-one affine space (projected
+    rank D^2 - 1).  The rank is certified modulo a prime p = 1 (mod N),
+    with zeta_N mapped to an N-th root of unity mod p: the projected rows
+    span at most D^2 - 1 dimensions, and a rank of D^2 - 1 mod p is a lower
+    bound on the exact rank, so the two agree.  When p divides a
+    denominator or the rank mod p comes out short, the exact rank decides,
+    and it gives every rejection.  `stats` counts which path decided.
     """
     target = hrep.dim - 1
     ok, active, violated = membership(coords, hrep)
@@ -310,12 +414,12 @@ def certify_vertex(coords: Sequence[CycNumber], hrep: LambdaHRep):
         return VertexRejection("facet inequality violated", tuple(violated), -1)
     if not active:
         return VertexRejection("interior point: no active facets", (), 0)
-    rows = _projected_rows(hrep, active)
-    if len(rows) > target:
-        subset = _greedy_independent(rows, target)
-        if len(subset) == target and exact_rank([rows[i] for i in subset]) == target:
-            return VertexCertificate(tuple(active), target)
-    rank = exact_rank(rows)
+    p, images = hrep._facets_mod_p
+    if _rank_mod_p([images[i] for i in active], p, target) == target:
+        stats["modp"] += 1
+        return VertexCertificate(tuple(active), target)
+    stats["exact"] += 1
+    rank = exact_rank(_projected_rows(hrep, active))
     if rank != target:
         return VertexRejection(f"active set rank {rank} < {target}", (), rank)
     return VertexCertificate(tuple(active), rank)
@@ -356,6 +460,24 @@ class VertexSet:
 
     def lookup_matrix(self, mat: CycMatrix) -> Optional[int]:
         return self.lookup(operator_coords(mat, self.d))
+
+    @cached_property
+    def label_index(self) -> tuple[dict[PhasePoint, int], list[tuple[CycNumber, ...]], dict[tuple, int]]:
+        """The vertices by their Pauli coefficients, built on first use.
+
+        Returns (slots, coefficients, index): the position of each label in
+        phase_space order; for each vertex A its x_a = Tr(T_a^dag A) in that
+        order, declared at coord_order(d); and a map from the tuple of their
+        (num, den) to the vertex index.  A = (1/D) sum_a x_a T_a, so this
+        index is as exact as `index`.
+        """
+        order = coord_order(self.d)
+        slots = {a: i for i, a in enumerate(phase_space(self.d, self.n))}
+        coefficients = [tuple(_in_field(pauli_coefficient(v.matrix, a), order) for a in slots)
+                        for v in self.vertices]
+        index = {tuple((x.num, x.den) for x in xs): v.index
+                 for xs, v in zip(coefficients, self.vertices)}
+        return slots, coefficients, index
 
 
 def _vertices_from_coord_list(hrep: LambdaHRep, coord_list: Iterable[Sequence[CycNumber]]) -> VertexSet:

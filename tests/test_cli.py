@@ -56,6 +56,30 @@ def test_vertices_command(tmp_path, capsys):
     assert out.exists()
 
 
+# The vertices summary and the sha256 of the --out file at d = 3 and 4,
+# recorded from the dense Clifford images and exact-rank certificates.
+VERTICES_SUMMARY = {
+    3: {"vertex_count": 81, "facet_count": 12, "clifford_orbit_sizes": [72, 9],
+        "cnc_type_orbits": 2, "cnc_type_vertices": 81},
+    4: {"vertex_count": 256, "facet_count": 28, "clifford_orbit_sizes": [256],
+        "cnc_type_orbits": 1, "cnc_type_vertices": 256},
+}
+VERTICES_OUT_SHA256 = {
+    3: "236e0ff4c4acadd1cd80e00a940113fd1cefd7047135611b2c8570adf2f3a363",
+    4: "3f9b98ce3c95a4157b25222b7402c17526e09c24068912ad141490b7b552bce5",
+}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_vertices_summary_is_pinned(tmp_path, capsys, d):
+    out = tmp_path / "v.txt"
+    code, stdout, _ = run(capsys, "vertices", "-d", str(d), "-n", "1", "--out", str(out))
+    assert code == 0
+    doc = json.loads(stdout)
+    assert {k: doc[k] for k in VERTICES_SUMMARY[d]} == VERTICES_SUMMARY[d]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERTICES_OUT_SHA256[d]
+
+
 def test_vertices_guard(capsys):
     code, _, err = run(capsys, "vertices", "-d", "1", "-n", "1")
     assert code == 2

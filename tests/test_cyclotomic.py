@@ -41,8 +41,8 @@ def test_interval_enclosures():
 
 
 @st.composite
-def cyc_numbers(draw):
-    order = draw(st.sampled_from([1, 3, 4, 8, 12]))
+def cyc_numbers(draw, orders=(1, 3, 4, 8, 12)):
+    order = draw(st.sampled_from(orders))
     deg = len(CycNumber.zero(order).num)
     nums = tuple(draw(st.integers(-9, 9)) for _ in range(deg))
     den = draw(st.integers(1, 9))
@@ -67,6 +67,14 @@ def test_conjugation_involution_and_abs(a):
     m = a.abs_squared()
     assert m.is_real()
     assert m.sign() >= 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyc_numbers(orders=(1, 3, 4, 8, 12, 24)))
+def test_imag_part_is_the_canonical_quotient(a):
+    got = a.imag_part()
+    want = (a - a.conjugate()) / (2 * zeta(4))
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
 
 
 def test_sign_decision():

@@ -16,17 +16,18 @@ from lambda_hvm import hvm
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             HiddenVariableModel, MeasureOp, StateDistribution,
-                            TransitionKernel, chi_square, oracle_distribution,
-                            oracle_simulate, random_circuit, run_shots,
-                            simulate_run, trace_with_projector, verify_circuit_born)
+                            TransitionKernel, VertexSetIncomplete, chi_square,
+                            oracle_distribution, oracle_simulate, random_circuit,
+                            run_shots, simulate_run, trace_with_projector,
+                            verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
-from lambda_hvm.polytope import enumerate_vertices, lambda_hrep
+from lambda_hvm.polytope import VertexInfo, VertexSet, enumerate_vertices, lambda_hrep
 from lambda_hvm.presets import preset_names, preset_state
 from lambda_hvm.stabilizer import (IsotropicSubgroup, group_projector_matrix,
                                    value_assignments)
-from tests_support import (reference_oracle_simulate, reference_run_shots,
-                           reference_simulate_run)
+from tests_support import (reference_clifford_permutation, reference_oracle_simulate,
+                           reference_run_shots, reference_simulate_run)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,38 @@ def test_clifford_update_examples(qubit_model):
     for g in gens:
         perm = qubit_model.clifford_permutation(g)
         assert sorted(perm.values()) == list(range(len(qubit_model.vset)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_clifford_permutations_equal_the_dense_reference(request, d):
+    vset = request.getfixturevalue({2: "qubit_model", 3: "qutrit_model", 4: "ququart_model"}[d]).vset
+    model = HiddenVariableModel(vset)
+    for g in clifford_generators(d, 1):
+        for u in (g, g.compose(g), g.inverse()):
+            assert model.clifford_permutation(u) == reference_clifford_permutation(vset, u)
+    assert model.stats["perm_misses"] == 3 * len(clifford_generators(d, 1))
+
+
+def _reindexed(hrep, vertices):
+    return VertexSet(hrep, [VertexInfo(i, v.matrix, v.coords, v.certificate)
+                            for i, v in enumerate(vertices)])
+
+
+def test_clifford_permutation_of_an_incomplete_vertex_set_raises(qubit_model):
+    vset = qubit_model.vset
+    h = next(g for g in clifford_generators(2, 1) if g.name == "F0")
+    moved = next(a for a, b in qubit_model.clifford_permutation(h).items() if a != b)
+    cube_minus_one = _reindexed(vset.hrep, [v for v in vset if v.index != moved])
+    with pytest.raises(VertexSetIncomplete, match="not in the vertex set"):
+        HiddenVariableModel(cube_minus_one).clifford_permutation(h)
+
+
+def test_clifford_permutation_on_a_repeated_vertex_is_not_a_bijection(qubit_model):
+    vset = qubit_model.vset
+    repeated = _reindexed(vset.hrep, [*vset, vset[0]])
+    for g in clifford_generators(2, 1):
+        with pytest.raises(VertexSetIncomplete, match="not a bijection"):
+            HiddenVariableModel(repeated).clifford_permutation(g)
 
 
 def test_kernel_structure(qubit_model):

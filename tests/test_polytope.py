@@ -1,11 +1,15 @@
 """Polytope layer: enumeration, certification, duality, phase points."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lambda_hvm import polytope
 from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import (PhasePoint, clifford_generators, pauli_matrix,
@@ -21,6 +25,7 @@ from lambda_hvm.polytope import (VertexCertificate, VertexRejection,
                                  wigner_operator)
 from lambda_hvm.stabilizer import (closure_and_cnc, enumerate_isotropics,
                                    projector, value_assignments)
+from tests_support import reference_certify_vertex
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +36,11 @@ def v21():
 @pytest.fixture(scope="module")
 def v31():
     return enumerate_vertices(lambda_hrep(3, 1))
+
+
+@pytest.fixture(scope="module")
+def v41():
+    return enumerate_vertices(lambda_hrep(4, 1))
 
 
 # sha256 of the vertex files written from the default enumeration: rational
@@ -115,6 +125,86 @@ def test_certification_examples(v21):
     bad = CycMatrix([[Fraction(3, 2), 0], [0, Fraction(-1, 2)]])
     rej3 = certify_vertex(operator_coords(bad, 2), h)
     assert isinstance(rej3, VertexRejection) and rej3.violated
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_certificates_equal_the_exact_rank_reference(request, d):
+    vset = request.getfixturevalue(f"v{d}1")
+    hrep = lambda_hrep(d, 1)
+    for v in vset:
+        cert = certify_vertex(v.coords, hrep)
+        assert isinstance(cert, VertexCertificate) and cert.rank == hrep.dim - 1
+        assert cert == reference_certify_vertex(v.coords, hrep)
+
+
+def edge_midpoint(vset):
+    """Midpoint of the first pair of vertices sharing the most active facets."""
+    a, b = max(itertools.combinations(vset, 2),
+               key=lambda ab: len(set(ab[0].certificate.active) & set(ab[1].certificate.active)))
+    return [(x + y) * Fraction(1, 2) for x, y in zip(a.coords, b.coords)]
+
+
+# At d = 4 the midpoint has 20 active facets, more than D^2 - 1 = 15, at
+# rank 14, so its rank mod p is not short for want of rows.
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rank_deficient_point_falls_back_to_the_exact_rank(request, d):
+    hrep = lambda_hrep(d, 1)
+    coords = edge_midpoint(request.getfixturevalue(f"v{d}1"))
+    start = dict(polytope.stats)
+    rej = certify_vertex(coords, hrep)
+    assert polytope.stats == {"modp": start["modp"], "exact": start["exact"] + 1}
+    assert rej == reference_certify_vertex(coords, hrep)
+    assert isinstance(rej, VertexRejection) and 0 < rej.rank < hrep.dim - 1
+    if d == 2:
+        assert rej == VertexRejection("active set rank 2 < 3", (), 2)
+
+
+def test_certification_stats_count_each_path():
+    start = dict(polytope.stats)
+    enumerate_vertices(lambda_hrep(3, 1))
+    assert polytope.stats == {"modp": start["modp"] + 81, "exact": start["exact"]}
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 12, 24])
+def test_modp_field_is_a_prime_with_a_primitive_root(order):
+    p, z = polytope._modp_field(order)
+    assert p > 2 ** 61 and (p - 1) % order == 0 and polytope._is_prime(p)
+    assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7))
+    assert pow(z, order, p) == 1
+    assert all(pow(z, order // q, p) != 1 for q in (2, 3) if order % q == 0)
+
+
+def test_is_prime_examples():
+    small = [m for m in range(2, 3000) if all(m % f for f in range(2, int(m ** 0.5) + 1))]
+    assert [m for m in range(3000) if polytope._is_prime(m)] == small
+    assert polytope._is_prime(2 ** 61 - 1)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, and a Carmichael number
+    assert not polytope._is_prime(3215031751) and not polytope._is_prime(561)
+
+
+@st.composite
+def order_12_numbers(draw):
+    nums = tuple(draw(st.integers(-9, 9)) for _ in range(4))
+    return CycNumber(12, nums, draw(st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_12_numbers(), order_12_numbers(), st.sampled_from([1, 3, 4, 6, 12]))
+def test_reduction_mod_p_is_a_ring_map(x, y, small):
+    # y is declared at a divisor of 12 when it lies there, as entries may be
+    y = y.demoted(small) or y
+    p, images = polytope._rows_mod_p([[x, y, x * y, x + y]])
+    ix, iy, ixy, isum = images[0]
+    assert ixy == ix * iy % p and isum == (ix + iy) % p
+
+
+def test_modp_rank_is_undecided_when_p_divides_a_denominator():
+    p, _ = polytope._modp_field(12)
+    bad = CycNumber.from_rational(Fraction(1, p), 12)
+    q, images = polytope._rows_mod_p([[zeta(12), CycNumber.one(12)], [zeta(12), bad]])
+    assert q == p and images[0] is not None and images[1] is None
+    assert polytope._rank_mod_p(images[:1], p, 2) == 1
+    assert polytope._rank_mod_p(images, p, 2) is None
 
 
 def test_certified_vertices_clifford_closed(v21, v31):

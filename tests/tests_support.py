@@ -5,8 +5,11 @@ from fractions import Fraction
 
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.exact_lp import feasible_point
-from lambda_hvm.hvm import CliffordOp, OracleBranch, ShotRecord, trace_with_projector
-from lambda_hvm.polytope import (additive_assignments, operator_coords,
+from lambda_hvm.hvm import (CliffordOp, OracleBranch, ShotRecord, VertexSetIncomplete,
+                            trace_with_projector)
+from lambda_hvm.linalg import exact_rank
+from lambda_hvm.polytope import (VertexCertificate, VertexRejection, _projected_rows,
+                                 additive_assignments, membership, operator_coords,
                                  wigner_operator)
 from lambda_hvm.stabilizer import group_projector_matrix, value_assignments
 
@@ -176,3 +179,56 @@ def reference_simplex(a_rows, b):
 
 def _fraction(x):
     return x.as_fraction() if isinstance(x, CycNumber) else Fraction(x)
+
+
+def reference_clifford_permutation(vset, u):
+    """The dense loop that label-level permutations replaced, kept to compare
+    against: U A U^dag for every vertex, looked up by its coordinates."""
+    mapping = {}
+    for v in vset:
+        idx = vset.lookup_matrix(u.apply(v.matrix))
+        if idx is None:
+            raise VertexSetIncomplete(f"Clifford image of vertex {v.index} not in the vertex set")
+        mapping[v.index] = idx
+    if sorted(mapping.values()) != list(range(len(vset))):
+        raise VertexSetIncomplete("Clifford action is not a bijection on the vertex set")
+    return mapping
+
+
+def _reference_greedy_independent(rows, target):
+    """Float Gram-Schmidt preselection of a likely-independent row subset."""
+    import numpy as np
+
+    basis = []
+    chosen = []
+    for idx, row in enumerate(rows):
+        v = np.array([x.approx().real for x in row], dtype=float)
+        for b in basis:
+            v = v - (v @ b) * b
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9:
+            basis.append(v / norm)
+            chosen.append(idx)
+            if len(chosen) == target:
+                break
+    return chosen
+
+
+def reference_certify_vertex(coords, hrep):
+    """The certificate path that mod-p ranks replaced, kept to compare
+    against: a float preselection, then exact ranks only."""
+    target = hrep.dim - 1
+    ok, active, violated = membership(coords, hrep)
+    if not ok:
+        return VertexRejection("facet inequality violated", tuple(violated), -1)
+    if not active:
+        return VertexRejection("interior point: no active facets", (), 0)
+    rows = _projected_rows(hrep, active)
+    if len(rows) > target:
+        subset = _reference_greedy_independent(rows, target)
+        if len(subset) == target and exact_rank([rows[i] for i in subset]) == target:
+            return VertexCertificate(tuple(active), target)
+    rank = exact_rank(rows)
+    if rank != target:
+        return VertexRejection(f"active set rank {rank} < {target}", (), rank)
+    return VertexCertificate(tuple(active), rank)
