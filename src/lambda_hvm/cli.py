@@ -22,7 +22,7 @@ from .linalg import CycMatrix
 from .pauli import CliffordElement, NotCliffordError, PhasePoint, clifford_generators
 from .polytope import (detect_cnc_form, enumerate_vertices, lambda_hrep,
                        load_vertex_file, save_vertex_file)
-from .presets import preset_names, preset_state
+from .presets import preset_state
 from .checks import SUITES, run_suite
 
 EXIT_OK = 0
@@ -132,10 +132,13 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _vertex_set(args):
-    if getattr(args, "vertices", None):
-        return load_vertex_file(args.vertices)
-    hrep = lambda_hrep(args.d, args.n)
-    return enumerate_vertices(hrep, method=getattr(args, "method", "dd"))
+    if not args.vertices:
+        return enumerate_vertices(lambda_hrep(args.d, args.n))
+    vset = load_vertex_file(args.vertices)
+    if (vset.d, vset.n) != (args.d, args.n):
+        raise UsageError(f"vertex file is for d={vset.d}, n={vset.n}; "
+                         f"flags say d={args.d}, n={args.n}")
+    return vset
 
 
 def clifford_orbits(vset, gens=None):
@@ -304,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vert = sub.add_parser("vertices", help="enumerate and certify polytope vertices")
     common(p_vert)
-    p_vert.add_argument("--method", choices=("dd", "brute"), default="dd")
     p_vert.set_defaults(func=cmd_vertices)
 
     p_dec = sub.add_parser("decompose", help="decompose a state over the vertices")

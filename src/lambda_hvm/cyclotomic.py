@@ -242,8 +242,12 @@ class CycNumber:
 
     @staticmethod
     def from_rational(x, order: int = 1) -> "CycNumber":
+        """An int, Fraction or CycNumber x declared in Q(zeta_lcm(order, x's order)).
+
+        A CycNumber x comes back as is when order is 1.
+        """
         if isinstance(x, CycNumber):
-            return x.promoted(lcm(x.order, order))
+            return x if order == 1 else x.promoted(lcm(x.order, order))
         fr = Fraction(x)
         deg = _degree(order)
         num = [0] * deg

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import CycNumber
-from .linalg import row_reduce
+from .linalg import dot as exact_dot, row_reduce
 
 __all__ = ["extreme_rays", "DDRay"]
 
@@ -55,12 +55,6 @@ def _int_normalize(vec) -> tuple[int, ...]:
 # -- generic (ordered exact field) backend -------------------------------------
 
 
-def _sign_of(x) -> int:
-    if isinstance(x, CycNumber):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def _cyc_normalize(vec: list[CycNumber]) -> tuple[CycNumber, ...]:
     for x in vec:
         s = x.sign()
@@ -93,20 +87,13 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
         sign = lambda v: (v > 0) - (v < 0)
         to_ray = _int_normalize
     else:
-        rows = [tuple(x if isinstance(x, CycNumber) else CycNumber.from_rational(Fraction(x)) for x in row)
-                for row in facets]
-
-        def dot(row, ray):
-            acc = CycNumber.zero()
-            for a, b in zip(row, ray):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            return acc
+        rows = [tuple(map(CycNumber.from_rational, row)) for row in facets]
+        dot = exact_dot
 
         def combine(sp, sn, rp, rn):
             return _cyc_normalize([sp * a - sn * b for a, b in zip(rn, rp)])
 
-        sign = _sign_of
+        sign = CycNumber.sign
         order = lcm(*(x.order for row in rows for x in row))
 
         def to_ray(vec):

@@ -64,12 +64,6 @@ def _is_rational(rows, b) -> bool:
     return not any(isinstance(x, CycNumber) and not x.is_rational() for x in b)
 
 
-def _to_cyc(x):
-    if isinstance(x, CycNumber):
-        return x
-    return CycNumber.from_rational(Fraction(x))
-
-
 def feasible_point(a_rows: Sequence[Sequence], b: Sequence):
     """Solve {x >= 0, A x = b} exactly; None if infeasible.
 
@@ -115,7 +109,7 @@ def _split_rows(a_rows, b):
 
 
 def _coefficients(x, order: int) -> list[Fraction]:
-    x = x.promoted(order) if isinstance(x, CycNumber) else CycNumber.from_rational(x, order)
+    x = CycNumber.from_rational(x, order)
     return [Fraction(c, x.den) for c in x.num]
 
 
@@ -202,8 +196,8 @@ def _simplex(a_rows, b):
     tab = []
     rhs = []
     for row, bi in zip(a_rows, b):
-        r = [_to_cyc(x) for x in row]
-        v = _to_cyc(bi)
+        r = [CycNumber.from_rational(x) for x in row]
+        v = CycNumber.from_rational(bi)
         if v.sign() < 0:
             r = [-x for x in r]
             v = -v

@@ -67,16 +67,16 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import CycNumber, zeta
+from .cyclotomic import CycNumber
 from .exact_lp import feasible_point
 from .linalg import CycMatrix
-from .pauli import (CliffordElement, PhasePoint, pauli_mono, pauli_order,
+from .pauli import (CliffordElement, PhasePoint, omega_power, pauli_sum,
                     phase_space)
 from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
                        pauli_coefficient)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          assignment_is_valid, group_projector_matrix,
-                         projector_matrix, value_assignments)
+                         projector_matrix, projector_trace, value_assignments)
 
 __all__ = [
     "DecompositionInfeasible",
@@ -146,13 +146,6 @@ class StateDistribution:
     weights: dict[int, object]
     mode: str
 
-    def support(self) -> list[int]:
-        return sorted(self.weights)
-
-    def probability(self, alpha: int) -> float:
-        w = self.weights.get(alpha, 0)
-        return float(w)
-
     def _sampling_table(self) -> tuple[list[float], list[int]]:
         table = getattr(self, "_table", None)
         if table is None:
@@ -202,35 +195,9 @@ def _vertex_complex(vset: VertexSet, alpha: int) -> np.ndarray:
 # traces against projectors
 
 
-def trace_with_pauli(mat: CycMatrix, b: PhasePoint) -> CycNumber:
-    """Tr(T_b M), using the monomial structure of T_b."""
-    mono = pauli_mono(b)
-    order = pauli_order(b.d)
-    acc = CycNumber.zero(order)
-    for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
-        x = mat[j, p]
-        if not x.is_zero():
-            acc = acc + zeta(order, e) * x
-    return acc
-
-
 def trace_with_projector(group: IsotropicSubgroup, r: ValueAssignment, mat: CycMatrix) -> CycNumber:
     """Tr(Pi_I^r M) exactly."""
-    return _formal_projector_trace(group.elements, r, mat)
-
-
-def _formal_projector_trace(points: Sequence[PhasePoint], value: Callable[[PhasePoint], int],
-                            x: CycMatrix) -> CycNumber:
-    """Tr((1/|S|) sum omega^{-v(b)} T_b . X) for a labeled point set."""
-    if not points:
-        return CycNumber.zero()
-    d = points[0].d
-    order = pauli_order(d)
-    t = 1 if d % 2 else 2
-    acc = CycNumber.zero(order)
-    for b in points:
-        acc = acc + zeta(order, (-t * value(b)) % order) * trace_with_pauli(x, b)
-    return acc * Fraction(1, len(points))
+    return projector_trace(group.elements, r.as_dict(), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +213,6 @@ class TransitionKernel:
     assignments: tuple[ValueAssignment, ...]
     entries: dict[tuple[int, int], object]      # (beta, r_index) -> weight
     marginals: tuple[object, ...]               # Q(r_index | alpha) = Tr(Pi A)
-
-    def outcome_distribution(self) -> list[tuple[int, float]]:
-        return [(i, float(m)) for i, m in enumerate(self.marginals)]
 
     def branch(self, r_index: int) -> list[tuple[int, object]]:
         return sorted((beta, w) for (beta, ri), w in self.entries.items() if ri == r_index)
@@ -390,8 +354,7 @@ class HiddenVariableModel:
         if entry is None:
             self.stats["perm_misses"] += 1
             slots, coefficients, index = self.vset.label_index
-            d = self.vset.d
-            omega = [zeta(pauli_order(d), (1 if d % 2 else 2) * k) for k in range(d)]
+            omega = [omega_power(self.vset.d, k) for k in range(self.vset.d)]
             moves = []
             for a in slots:
                 k, image = u.conjugate_label(a)
@@ -949,7 +912,7 @@ def lem_trace_reduction(x: CycMatrix, spec: PhiMapSpec,
         km_points = [k for k in k_points if _trailing_part(k, m).is_zero()]
         km_leading = [_leading_part(k, m) for k in km_points]
         km_values = {_leading_part(k, m): s(k) for k in km_points}
-        tr_km = _formal_projector_trace(km_leading, km_values.__getitem__, x)
+        tr_km = projector_trace(km_leading, km_values, x)
         rhs_printed = tr_km * Fraction(len(k_points), 1)
 
         # general form: the projection of K with the transported assignment
@@ -966,7 +929,7 @@ def lem_trace_reduction(x: CycMatrix, spec: PhiMapSpec,
         s_tilde = ValueAssignment.from_dict(d, proj_values)
         if not assignment_is_valid(proj_group.elements, s_tilde):
             raise AssertionError("transported assignment is not noncontextual")
-        tr_gen = _formal_projector_trace(proj_group.elements, s_tilde, x)
+        tr_gen = projector_trace(proj_group.elements, proj_values, x)
         rhs_general = tr_gen * Fraction(len(k_points), 1)
 
     return {
@@ -997,22 +960,18 @@ def lem_coefficient_trace(y: CycMatrix, spec: PhiMapSpec,
             eb = embed_trailing(b, n)
             big_points.append(ea + eb)
             big_values[ea + eb] = (sprime(a) + spec.r(b)) % d
-    lhs = _formal_projector_trace(big_points, big_values.__getitem__, y)
+    lhs = projector_trace(big_points, big_values, y)
 
     # collapsed operator on the leading sector
-    order = pauli_order(d)
-    t = 1 if d % 2 else 2
     inv_j = Fraction(1, len(spec.j_group))
-    acc = CycMatrix.zeros(dim_m, dim_m)
+    terms = []
     for a in phase_space(d, m):
         za = CycNumber.zero()
         for b in spec.j_group.elements:
             label = embed_leading(a, n) + embed_trailing(b, n)
-            za = za + zeta(order, (t * spec.r(b)) % order) * pauli_coefficient(y, label)
-        za = za * inv_j
-        if not za.is_zero():
-            acc = acc + pauli_mono(a).to_matrix().scale(za)
-    ytilde = acc.scale(Fraction(1, dim_m))
+            za = za + omega_power(d, spec.r(b)) * pauli_coefficient(y, label)
+        terms.append((a, za * inv_j))
+    ytilde = pauli_sum(d, m, terms).scale(Fraction(1, dim_m))
     rhs = trace_with_projector(iprime, sprime, ytilde)
     return lhs, rhs
 

@@ -17,13 +17,19 @@ import numpy as np
 
 from .cyclotomic import CycNumber
 
-__all__ = ["CycMatrix", "row_reduce", "exact_rank", "exact_solve"]
+__all__ = ["CycMatrix", "dot", "row_reduce", "exact_rank", "exact_solve"]
 
 
-def _as_cyc(x) -> CycNumber:
-    if isinstance(x, CycNumber):
-        return x
-    return CycNumber.from_rational(Fraction(x))
+_ZERO = CycNumber.zero()
+
+
+def dot(xs: Iterable[CycNumber], ys: Iterable[CycNumber]) -> CycNumber:
+    """sum_k xs[k] ys[k] exactly, skipping the products with a zero factor."""
+    acc = _ZERO
+    for a, b in zip(xs, ys):
+        if not (a.is_zero() or b.is_zero()):
+            acc = acc + a * b
+    return acc
 
 
 class CycMatrix:
@@ -32,7 +38,7 @@ class CycMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = tuple(tuple(_as_cyc(x) for x in row) for row in data)
+        self.data = tuple(tuple(CycNumber.from_rational(x) for x in row) for row in data)
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.rows else 0
         if any(len(r) != self.cols for r in self.data):
@@ -47,7 +53,7 @@ class CycMatrix:
 
     @staticmethod
     def identity(n: int, scale=1) -> "CycMatrix":
-        s = _as_cyc(scale)
+        s = CycNumber.from_rational(scale)
         z = CycNumber.zero()
         return CycMatrix([[s if i == j else z for j in range(n)] for i in range(n)])
 
@@ -84,25 +90,14 @@ class CycMatrix:
         return CycMatrix([[-a for a in row] for row in self.data])
 
     def scale(self, s) -> "CycMatrix":
-        s = _as_cyc(s)
+        s = CycNumber.from_rational(s)
         return CycMatrix([[a * s for a in row] for row in self.data])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.data))
-        out = []
-        zero = CycNumber.zero()
-        for row in self.data:
-            new_row = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return CycMatrix(out)
+        return CycMatrix([[dot(row, col) for col in bt] for row in self.data])
 
     def dagger(self) -> "CycMatrix":
         return CycMatrix([[self.data[i][j].conjugate() for i in range(self.rows)]
@@ -191,7 +186,7 @@ def row_reduce(rows: list, ncols: int) -> list[int]:
         if all(x.is_rational() for x in row if isinstance(x, CycNumber)):
             rows[i] = [x.as_fraction() if isinstance(x, CycNumber) else Fraction(x) for x in row]
         else:
-            rows[i] = [_as_cyc(x) for x in row]
+            rows[i] = [CycNumber.from_rational(x) for x in row]
     nrows = len(rows)
     pivots: list[int] = []
     for col in range(ncols):

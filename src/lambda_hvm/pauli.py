@@ -12,6 +12,11 @@ even d.  The phase exponent phi is chosen so that (T_a)^d = 1:
     phi(a) = -<a_Z|a_X> * inverse_of_2   (odd d, mod d)
     phi(a) = -<a_Z|a_X>                  (even d, mod 2d)
 
+This module is the only owner of omega = mu^t (t = 1 for odd d, t = 2 for
+even d): every other module takes omega powers from `omega_power`, traces
+Tr(T_a M) from `PauliMono.trace_with` and dense sums sum_b c_b T_b from
+`pauli_sum`.
+
 Because every T_a is a phased permutation matrix, Pauli algebra runs on a
 monomial representation (permutation + root-of-unity exponents), which keeps
 exhaustive composition/commutation checks cheap.  Dense cyclotomic matrices
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import CycNumber, sqrt_int, zeta
 from .linalg import CycMatrix
@@ -44,6 +49,7 @@ __all__ = [
     "PauliMono",
     "pauli_mono",
     "pauli_matrix",
+    "pauli_sum",
     "compose_check",
     "omega_power",
     "pauli_order",
@@ -59,6 +65,11 @@ __all__ = [
 def pauli_order(d: int) -> int:
     """Order of the phase mu: d for odd d, 2d for even d."""
     return d if d % 2 else 2 * d
+
+
+def _mu_step(d: int) -> int:
+    """t with omega = mu^t."""
+    return 1 if d % 2 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def beta(a: PhasePoint, b: PhasePoint) -> Fraction:
     """
     a._check(b)
     d = a.d
-    t = 1 if d % 2 else 2
+    t = _mu_step(d)
     c = a + b
     expo = (_phi_hat(a.az, a.ax, d) + _phi_hat(b.az, b.ax, d)
             - t * sum(x * z for x, z in zip(a.ax, b.az))
@@ -214,13 +225,13 @@ def phi_exponent(a: PhasePoint) -> int:
 
 def omega_power(d: int, exponent: Fraction | int) -> CycNumber:
     """omega^exponent as an exact root of unity; half-integers allowed for even d."""
-    e = Fraction(exponent)
     order = pauli_order(d)
-    t = 1 if d % 2 else 2  # omega = mu^t
-    k = e * t
-    if k.denominator != 1:
-        raise ValueError(f"omega^{e} is not a root of unity of order {order}")
-    return zeta(order, int(k) % order)
+    k = exponent * _mu_step(d)
+    if isinstance(k, Fraction):
+        if k.denominator != 1:
+            raise ValueError(f"omega^{exponent} is not a root of unity of order {order}")
+        k = k.numerator
+    return zeta(order, k % order)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,7 @@ class PauliMono:
     def equals_up_to_omega(self, other: "PauliMono") -> Optional[int]:
         """If self == omega^k * other, return k in Z_d; else None."""
         diff = self.equals_up_to_mu(other)
-        t = 1 if self.d % 2 else 2
+        t = _mu_step(self.d)
         if diff is None or diff % t:
             return None
         return (diff // t) % self.d
@@ -327,6 +338,16 @@ class PauliMono:
                 acc = acc + zeta(order, e)
         return acc
 
+    def trace_with(self, mat: CycMatrix) -> CycNumber:
+        """Tr(T M): column j of T meets row j of M only at M[j, perm[j]]."""
+        order = pauli_order(self.d)
+        acc = CycNumber.zero(order)
+        for j, (p, e) in enumerate(zip(self.perm, self.exps)):
+            x = mat[j, p]
+            if not x.is_zero():
+                acc = acc + zeta(order, e) * x
+        return acc
+
     def to_matrix(self) -> CycMatrix:
         order = pauli_order(self.d)
         z = CycNumber.zero(order)
@@ -340,7 +361,7 @@ class PauliMono:
 def _pauli_mono_cached(a: PhasePoint) -> PauliMono:
     d, n = a.d, a.n
     dim = d ** n
-    t = 1 if d % 2 else 2
+    t = _mu_step(d)
     base = phi_exponent(a)
     perm = []
     exps = []
@@ -361,6 +382,19 @@ def pauli_mono(a: PhasePoint) -> PauliMono:
 def pauli_matrix(a: PhasePoint) -> CycMatrix:
     """T_a as a dense exact matrix."""
     return pauli_mono(a).to_matrix()
+
+
+def pauli_sum(d: int, n: int, terms: Iterable[tuple[PhasePoint, object]]) -> CycMatrix:
+    """sum_b c_b T_b as a dense exact matrix, for (label b, coefficient c_b) pairs."""
+    dim = d ** n
+    order = pauli_order(d)
+    zero = CycNumber.zero(order)
+    rows = [[zero] * dim for _ in range(dim)]
+    for b, c in terms:
+        mono = pauli_mono(b)
+        for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
+            rows[p][j] = rows[p][j] + zeta(order, e) * c
+    return CycMatrix(rows)
 
 
 def compose_check(a: PhasePoint, b: PhasePoint) -> tuple[Fraction, PhasePoint]:
@@ -422,7 +456,6 @@ class CliffordElement:
         if len(rows0) != 1:
             raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
         bx = _digits(rows0[0], d, n)
-        omega = zeta(order, 1 if d % 2 else 2)
         bz = []
         for site in range(n):
             e_s = [0] * n
@@ -434,21 +467,17 @@ class CliffordElement:
                 raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
             ratio = val / col0[rows0[0]]
             for t in range(d):
-                if ratio == omega ** t:
+                if ratio == omega_power(d, t):
                     bz.append(t)
                     break
             else:
                 raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
         b = PhasePoint(d, n, tuple(bz), bx)
-        tb = pauli_mono(b)
-        ref = tb.to_matrix()
+        ref = pauli_matrix(b)
         ratio = col0[rows0[0]] / ref[rows0[0], 0]
-        for k in range(d):
-            if ratio == omega ** k:
-                scaled = ref.scale(omega ** k)
-                if m == scaled:
-                    return k, b
-                break
+        k = next((k for k in range(d) if ratio == omega_power(d, k)), None)
+        if k is not None and m == ref.scale(ratio):
+            return k, b
         raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
 
     # -- public API -----------------------------------------------------------
@@ -482,9 +511,8 @@ def clifford_from_matrix(d: int, n: int, unitary: CycMatrix, name: str = "U") ->
 
 def _fourier_matrix(d: int) -> CycMatrix:
     """Exact DFT gate: (1/sqrt d) [omega^{jk}], rescaled by a unit to stay exact."""
-    omega = zeta(pauli_order(d), 1 if d % 2 else 2)
     inv_sqrt = sqrt_int(d).inverse()
-    return CycMatrix([[inv_sqrt * omega ** ((j * k) % d) for k in range(d)] for j in range(d)])
+    return CycMatrix([[inv_sqrt * omega_power(d, j * k) for k in range(d)] for j in range(d)])
 
 
 def _phase_gate_matrix(d: int) -> CycMatrix:

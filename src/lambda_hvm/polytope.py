@@ -13,7 +13,7 @@ solution of its active system.  The rank is certified modulo a prime, with
 an exact fallback whenever that comes out short.
 
 Vertex enumeration is exact and complete: double description on the facet
-cone, with brute force over active subsets kept as the reference method.
+cone.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CycNumber, zeta
 from .dd import extreme_rays
-from .linalg import CycMatrix, exact_rank, exact_solve
-from .pauli import (PhasePoint, pauli_mono, pauli_order, phase_space,
-                    symplectic_product)
+from .linalg import CycMatrix, dot, exact_rank
+from .pauli import (PhasePoint, omega_power, pauli_mono, pauli_order,
+                    phase_space)
 from .stabilizer import (IsotropicSubgroup, StabilizerProjector,
                          ValueAssignment, closure_under_inference,
-                         enumerate_isotropics, noncontextual_assignments,
-                         projector, projector_matrix, value_assignments)
+                         enumerate_isotropics, projector, projector_matrix,
+                         value_assignments)
 
 __all__ = [
     "coord_order",
@@ -129,21 +129,10 @@ def matrix_from_coords(coords: Sequence[CycNumber], d: int, n: int) -> CycMatrix
 
 
 def functional_vector(mat: CycMatrix, d: int) -> tuple[CycNumber, ...]:
-    """Vector f with Tr(mat . X) = f . coords(X) for Hermitian X."""
-    order = coord_order(d)
-    dim = mat.rows
-    out = []
-    for i in range(dim):
-        x = mat[i, i]
-        if not x.is_real():
-            raise ValueError("functional needs a Hermitian operator")
-        out.append(_to_order(x, order))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            x = mat[i, j]
-            out.append(_to_order(2 * x.real_part(), order))
-            out.append(_to_order(2 * x.imag_part(), order))
-    return tuple(out)
+    """Vector f with Tr(mat . X) = f . coords(X) for Hermitian X: the
+    coordinates of mat with the off-diagonal pairs doubled."""
+    coords = operator_coords(mat, d)
+    return coords[:mat.rows] + tuple(2 * x for x in coords[mat.rows:])
 
 
 def coords_key(coords: Sequence[CycNumber], d: int) -> Optional[tuple]:
@@ -168,14 +157,6 @@ def _in_field(x: CycNumber, order: int) -> Optional[CycNumber]:
     if order % x.order == 0:
         return x.promoted(order)
     return x.demoted(order)
-
-
-def _dot(f: Sequence[CycNumber], x: Sequence[CycNumber]) -> CycNumber:
-    acc = CycNumber.zero()
-    for a, b in zip(f, x):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +234,7 @@ def membership(coords: Sequence[CycNumber], hrep: LambdaHRep) -> tuple[bool, lis
     """(is_member, active facet indices, violated facet indices), exact."""
     active, violated = [], []
     for idx, vec in enumerate(hrep.vectors):
-        s = _dot(vec, coords).sign()
+        s = dot(vec, coords).sign()
         if s == 0:
             active.append(idx)
         elif s < 0:
@@ -498,30 +479,6 @@ def _vertices_from_coord_list(hrep: LambdaHRep, coord_list: Iterable[Sequence[Cy
     return VertexSet(hrep, out)
 
 
-def _enumerate_brute_force(hrep: LambdaHRep) -> VertexSet:
-    """Solve every (D^2-1)-subset of facet equalities plus the trace row.
-
-    Complete: a vertex has some independent active subset of that size, so
-    it appears as the unique solution of at least one subsystem.
-    """
-    dim = hrep.dim
-    need = dim - 1
-    one = CycNumber.one()
-    zero = CycNumber.zero()
-    trace_row = list(hrep.trace_vector())
-    found = []
-    for subset in itertools.combinations(range(hrep.facet_count()), need):
-        rows = [list(hrep.vectors[i]) for i in subset] + [trace_row]
-        rhs = [zero] * need + [one]
-        sol = exact_solve(rows, rhs)
-        if sol is None:
-            continue
-        ok, _, _ = membership(sol, hrep)
-        if ok:
-            found.append(sol)
-    return _vertices_from_coord_list(hrep, found)
-
-
 def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
     """Double description on the homogenization cone {Tr(F_i X) >= 0}."""
     rays = extreme_rays(hrep.vectors, hrep.dim, progress=progress)
@@ -530,7 +487,7 @@ def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
     for ray in rays:
         c = list(ray.coords)
         if not isinstance(c[0], CycNumber):
-            c = [CycNumber.from_rational(Fraction(v)) for v in c]
+            c = [CycNumber.from_rational(v) for v in c]
         tr = c[0]
         for v in c[1:dim]:
             tr = tr + v
@@ -542,16 +499,9 @@ def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
     return _vertices_from_coord_list(hrep, coord_list)
 
 
-def enumerate_vertices(hrep: LambdaHRep, method: str = "dd", progress=None) -> VertexSet:
-    """Complete certified vertex enumeration of the polytope.
-
-    method: "dd" runs double description, "brute" solves every active
-    subset (the slow reference); both return the same sorted vertex list.
-    """
-    if method not in ("dd", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "brute":
-        return _enumerate_brute_force(hrep)
+def enumerate_vertices(hrep: LambdaHRep, progress=None) -> VertexSet:
+    """Complete certified vertex enumeration of the polytope, by double
+    description on the facet cone; the vertex list is sorted by exact key."""
     return _enumerate_dd(hrep, progress=progress)
 
 
@@ -602,14 +552,7 @@ def wigner_operator(d: int, n: int, gamma: dict[PhasePoint, int]) -> CycMatrix:
 
 def pauli_coefficient(mat: CycMatrix, a: PhasePoint) -> CycNumber:
     """x_a = Tr(T_a^dag M), using the monomial structure of T_a^dag."""
-    mono = pauli_mono(a).dagger()
-    order = pauli_order(a.d)
-    acc = CycNumber.zero(order)
-    for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
-        x = mat[j, p]
-        if not x.is_zero():
-            acc = acc + zeta(order, e) * x
-    return acc
+    return pauli_mono(a).dagger().trace_with(mat)
 
 
 def pauli_coefficients(mat: CycMatrix, d: int, n: int) -> dict[PhasePoint, CycNumber]:
@@ -624,15 +567,13 @@ def detect_cnc_form(mat: CycMatrix, d: int, n: int):
     roots of unity on an inference-closed support carrying a noncontextual
     assignment matching them.
     """
-    coeffs = pauli_coefficients(mat, d, n)
-    omega = zeta(pauli_order(d), 1 if d % 2 else 2)
     support = []
     gamma = {}
-    for a, x in coeffs.items():
+    for a, x in pauli_coefficients(mat, d, n).items():
         if x.is_zero():
             continue
         for k in range(d):
-            if x == omega ** ((-k) % d):
+            if x == omega_power(d, -k):
                 support.append(a)
                 gamma[a] = k
                 break
@@ -683,11 +624,10 @@ def pauli_bound(mat: CycMatrix, d: int, n: int) -> PauliBound:
 # duality and dilation checks
 
 
-def polar_dual_vertices(d: int, n: int, operators: Sequence[CycMatrix],
-                        method: str = "dd") -> VertexSet:
+def polar_dual_vertices(d: int, n: int, operators: Sequence[CycMatrix]) -> VertexSet:
     """Vertices of {X in Herm_1 : Tr(V_i X) >= 0} for the given operators."""
     hrep = hrep_from_operators(d, n, ((f"op{i}", m) for i, m in enumerate(operators)))
-    return enumerate_vertices(hrep, method=method)
+    return enumerate_vertices(hrep)
 
 
 def _dilate(mat: CycMatrix, c: Fraction, d: int, n: int) -> CycMatrix:
@@ -703,8 +643,7 @@ def _require(ok: bool, message: str) -> None:
 
 
 def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] = None,
-                           dilations: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2)),
-                           method: str = "dd") -> dict:
+                           dilations: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2))) -> dict:
     """Exact duality report for the stabilizer polytope and Wigner simplex.
 
     Verifies (i) double duality Lambda* = SP on computed vertex sets,
@@ -716,11 +655,11 @@ def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] 
     report: dict = {"d": d, "n": n}
     hrep = lambda_hrep(d, n)
     if lambda_vertices is None:
-        lambda_vertices = enumerate_vertices(hrep, method=method)
+        lambda_vertices = enumerate_vertices(hrep)
     report["lambda_vertex_count"] = len(lambda_vertices)
 
     # (i) Lambda* should be exactly SP: its vertices are the stabilizer states
-    dual = polar_dual_vertices(d, n, [v.matrix for v in lambda_vertices], method=method)
+    dual = polar_dual_vertices(d, n, [v.matrix for v in lambda_vertices])
     sp_keys = {coords_key(operator_coords(p.matrix, d), d) for p in stabilizer_states(d, n)}
     dual_keys = {coords_key(v.coords, d) for v in dual}
     _require(dual_keys == sp_keys, "double dual of SP does not return SP")
@@ -738,14 +677,14 @@ def duality_dilation_check(d: int, n: int, lambda_vertices: Optional[VertexSet] 
     report["simplex_orthogonality"] = f"Tr(A A') = {dim} * delta (d^n, not 1)"
 
     simplex_keys = {coords_key(operator_coords(p, d), d) for p in points}
-    dual_simplex = polar_dual_vertices(d, n, points, method=method)
+    dual_simplex = polar_dual_vertices(d, n, points)
     _require({coords_key(v.coords, d) for v in dual_simplex} == simplex_keys,
              "Wigner simplex is not self-dual")
     report["simplex_self_dual"] = True
 
     for c in dilations:
         dilated = [_dilate(p, c, d, n) for p in points]
-        dual_of_dilated = polar_dual_vertices(d, n, dilated, method=method)
+        dual_of_dilated = polar_dual_vertices(d, n, dilated)
         expected = {coords_key(operator_coords(_dilate(p, 1 / c, d, n), d), d) for p in points}
         _require({coords_key(v.coords, d) for v in dual_of_dilated} == expected,
                  f"dilation identity failed at c = {c}")
@@ -812,13 +751,21 @@ def save_facet_file(path: str, hrep: LambdaHRep):
             fh.write(label + "\t" + "\t".join(c.serialize() for c in vec) + "\n")
 
 
+def _read_header(fh, magic: str) -> tuple[int, int, int]:
+    """(d, n, count) from the header line "# <magic> d=.. n=.. count=.. ..."."""
+    header = fh.readline().split()
+    if header[:2] != ["#", magic]:
+        raise ValueError(f"not a {magic} file")
+    fields = dict(kv.split("=", 1) for kv in header[2:] if "=" in kv)
+    missing = [k for k in ("d", "n", "count") if k not in fields]
+    if missing:
+        raise ValueError(f"{magic} file header lacks {', '.join(k + '=' for k in missing)}")
+    return int(fields["d"]), int(fields["n"]), int(fields["count"])
+
+
 def load_facet_file(path: str) -> LambdaHRep:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# lambda-facets"):
-            raise ValueError("not a facet file")
-        fields = dict(kv.split("=") for kv in header.split()[2:])
-        d, n, count = int(fields["d"]), int(fields["n"]), int(fields["count"])
+        d, n, count = _read_header(fh, "lambda-facets")
         labels, ops, vecs = [], [], []
         for line in fh:
             line = line.rstrip("\n")
@@ -841,11 +788,7 @@ def load_facet_file(path: str) -> LambdaHRep:
 
 def load_vertex_file(path: str) -> VertexSet:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# lambda-vertices"):
-            raise ValueError("not a vertex-set file")
-        fields = dict(kv.split("=") for kv in header.split()[2:])
-        d, n, count = int(fields["d"]), int(fields["n"]), int(fields["count"])
+        d, n, count = _read_header(fh, "lambda-vertices")
         hrep = lambda_hrep(d, n)
         coord_list = []
         for line in fh:

@@ -21,12 +21,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import CycNumber, zeta
+from .cyclotomic import CycNumber
 from .linalg import CycMatrix
-from .pauli import (CliffordElement, PhasePoint, beta_mod_d, pauli_mono,
-                    pauli_order, phase_space, symplectic_product)
+from .pauli import (CliffordElement, PhasePoint, beta_mod_d, omega_power,
+                    pauli_mono, pauli_order, pauli_sum, phase_space,
+                    symplectic_product)
 
 __all__ = [
     "IsotropicSubgroup",
@@ -37,6 +38,7 @@ __all__ = [
     "noncontextual_assignments",
     "projector",
     "projector_matrix",
+    "projector_trace",
     "group_projector_matrix",
     "closure_under_inference",
     "closure_and_cnc",
@@ -114,10 +116,6 @@ class IsotropicSubgroup:
         """All points of E commuting with every element of the subgroup."""
         return _perp_cached(self)
 
-    def intersection(self, other: "IsotropicSubgroup") -> "IsotropicSubgroup":
-        common = sorted(set(self.elements) & set(other.elements), key=_point_key)
-        return IsotropicSubgroup(self.d, self.n, tuple(common), tuple(c for c in common if not c.is_zero()))
-
     def join(self, other_points: Iterable[PhasePoint]) -> "IsotropicSubgroup":
         gens = [p for p in self.elements if not p.is_zero()]
         gens += [p for p in other_points if not p.is_zero()]
@@ -193,10 +191,6 @@ class ValueAssignment:
 
     def domain(self) -> tuple[PhasePoint, ...]:
         return tuple(p for p, _ in self.values)
-
-    def restrict(self, points: Iterable[PhasePoint]) -> "ValueAssignment":
-        lookup = self.as_dict()
-        return ValueAssignment.from_dict(self.d, {p: lookup[p] for p in points})
 
     def key(self) -> tuple:
         return tuple((_point_key(p), v) for p, v in self.values)
@@ -329,18 +323,19 @@ def projector_matrix(d: int, n: int, points: Iterable[PhasePoint],
                      values: dict[PhasePoint, int]) -> CycMatrix:
     """(1/|S|) sum_b omega^{-r(b)} T_b as a dense exact matrix."""
     pts = list(points)
-    dim = d ** n
-    order = pauli_order(d)
-    t = 1 if d % 2 else 2
-    zero = CycNumber.zero(order)
-    rows = [[zero] * dim for _ in range(dim)]
+    terms = ((b, omega_power(d, -values[b])) for b in pts)
+    return pauli_sum(d, n, terms).scale(Fraction(1, len(pts)))
+
+
+def projector_trace(points: Iterable[PhasePoint], values: dict[PhasePoint, int],
+                    mat: CycMatrix) -> CycNumber:
+    """Tr(M (1/|S|) sum_b omega^{-r(b)} T_b), without the dense projector."""
+    pts = list(points)
+    d = pts[0].d
+    acc = CycNumber.zero(pauli_order(d))
     for b in pts:
-        mono = pauli_mono(b)
-        shift = (-t * values[b]) % order
-        for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
-            rows[p][j] = rows[p][j] + zeta(order, (e + shift) % order)
-    inv = Fraction(1, len(pts))
-    return CycMatrix([[x * inv for x in row] for row in rows])
+        acc = acc + omega_power(d, -values[b]) * pauli_mono(b).trace_with(mat)
+    return acc * Fraction(1, len(pts))
 
 
 def projector(group: IsotropicSubgroup, r: ValueAssignment) -> StabilizerProjector:

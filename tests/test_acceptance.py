@@ -393,7 +393,7 @@ def test_criterion_9_two_qubit_enumeration():
         from lambda_hvm.polytope import load_vertex_file
         vset = load_vertex_file(path)
     else:
-        vset = enumerate_vertices(lambda_hrep(2, 2), method="dd")
+        vset = enumerate_vertices(lambda_hrep(2, 2))
     from lambda_hvm.cli import clifford_orbits
     orbits, cnc_flags = clifford_orbits(vset)
     cnc_orbits = sum(1 for f in cnc_flags if f)

@@ -86,6 +86,27 @@ def test_vertices_guard(capsys):
     assert err.startswith("error:")
 
 
+def test_vertex_file_for_another_system_is_a_usage_error(tmp_path, capsys):
+    vfile = tmp_path / "v21.txt"
+    run(capsys, "vertices", "-d", "2", "-n", "1", "--out", str(vfile))
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps({"d": 3, "n": 1, "state": {"preset": "zero"}, "ops": []}))
+    for command in (["decompose", "--state", "zero"], ["simulate", str(circ)], ["vertices"]):
+        code, stdout, err = run(capsys, *command, "-d", "3", "-n", "1", "--vertices", str(vfile))
+        assert code == 2, command
+        assert stdout == ""
+        assert err == "error: vertex file is for d=2, n=1; flags say d=3, n=1\n"
+
+
+def test_vertex_file_header_without_a_field_is_a_usage_error(tmp_path, capsys):
+    vfile = tmp_path / "v.txt"
+    vfile.write_text("# lambda-vertices n=1 count=8\n")
+    code, stdout, err = run(capsys, "vertices", "-d", "2", "-n", "1", "--vertices", str(vfile))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: lambda-vertices file header lacks d=\n"
+
+
 def test_decompose_presets(tmp_path, capsys):
     vfile = tmp_path / "v.txt"
     run(capsys, "vertices", "-d", "2", "-n", "1", "--out", str(vfile))

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_hvm.cyclotomic import zeta
+from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import (CliffordElement, NotCliffordError, PhasePoint,
                               beta, beta_mod_d, clifford_from_matrix,
-                              clifford_generators, compose_check, pauli_matrix,
-                              pauli_mono, pauli_order, phase_space,
-                              symplectic_product)
+                              clifford_generators, compose_check, omega_power,
+                              pauli_matrix, pauli_mono, pauli_order, pauli_sum,
+                              phase_space, symplectic_product)
 from lambda_hvm.pauli import _fourier_matrix
+from lambda_hvm.polytope import coord_order
+from lambda_hvm.stabilizer import enumerate_isotropics, value_assignments
+from tests_support import random_full_matrix
+
+SHARED_SYSTEMS = [(2, 1), (3, 1), (4, 1), (2, 2)]
 
 
 def mu_exponent(d, omega_exp):
@@ -177,3 +182,50 @@ def test_clifford_composition_consistency():
         ph_h, im_h = h.conjugate_label(im_s)
         ph, im = hs.conjugate_label(a)
         assert im == im_h and ph == (ph_s + ph_h) % 2
+
+
+@pytest.mark.parametrize("d,n", SHARED_SYSTEMS)
+def test_trace_with_equals_the_dense_trace(d, n):
+    """Tr(T_b M) and Tr(T_b^dag M) from the monomial form, against dense
+    products, for every label; serialize() pins the declared order too."""
+    mat = random_full_matrix(d ** n, coord_order(d), random.Random(10 * d + n))
+    for b in phase_space(d, n):
+        mono, dense = pauli_mono(b), pauli_matrix(b)
+        assert mono.trace_with(mat).serialize() == (dense @ mat).trace().serialize()
+        assert mono.dagger().trace_with(mat).serialize() == \
+            (dense.dagger() @ mat).trace().serialize()
+
+
+def _dense_sum(terms):
+    acc = None
+    for b, c in terms:
+        term = pauli_matrix(b).scale(c)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("d,n", SHARED_SYSTEMS)
+def test_pauli_sum_equals_the_dense_sum(d, n):
+    """Every projector-shaped sum over a group and assignment, and random
+    coefficients on random label sets.  The coefficients lie in Q(mu), so
+    both sides declare every entry at mu's order and serialize() compares."""
+    for group in enumerate_isotropics(d, n):
+        for r in value_assignments(group):
+            terms = [(b, omega_power(d, -r(b))) for b in group.elements]
+            assert pauli_sum(d, n, terms).serialize_rows() == _dense_sum(terms).serialize_rows()
+    rng = random.Random(20 * d + n)
+    order = pauli_order(d)
+    labels = list(phase_space(d, n))
+    for _ in range(10):
+        terms = [(b, CycNumber.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), order)
+                  + zeta(order) * rng.randint(-2, 2))
+                 for b in rng.sample(labels, rng.randint(1, len(labels)))]
+        assert pauli_sum(d, n, terms).serialize_rows() == _dense_sum(terms).serialize_rows()
+
+
+def test_omega_power_takes_half_integers_only_at_even_d():
+    assert omega_power(4, Fraction(1, 2)) == zeta(8)
+    assert omega_power(3, 2) == zeta(3, 2)
+    assert omega_power(2, Fraction(-3, 1)) == zeta(4, 2)
+    with pytest.raises(ValueError):
+        omega_power(3, Fraction(1, 2))

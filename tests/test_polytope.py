@@ -19,13 +19,14 @@ from lambda_hvm.polytope import (VertexCertificate, VertexRejection,
                                  cnc_phase_point, coords_key,
                                  detect_cnc_form, duality_dilation_check,
                                  enumerate_vertices, lambda_hrep,
-                                 load_vertex_file, matrix_from_coords,
+                                 load_facet_file, load_vertex_file,
+                                 matrix_from_coords,
                                  membership, operator_coords, pauli_bound,
                                  save_vertex_file, stabilizer_states,
                                  wigner_operator)
 from lambda_hvm.stabilizer import (closure_and_cnc, enumerate_isotropics,
                                    projector, value_assignments)
-from tests_support import reference_certify_vertex
+from tests_support import reference_certify_vertex, reference_enumerate_brute_force
 
 
 @pytest.fixture(scope="module")
@@ -315,12 +316,10 @@ def test_duality_dilation_report(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_brute_force_and_dd_give_the_same_vertex_list(d):
     hrep = lambda_hrep(d, 1)
-    brute = enumerate_vertices(hrep, method="brute")
-    dd = enumerate_vertices(hrep, method="dd")
+    brute = reference_enumerate_brute_force(hrep)
+    dd = enumerate_vertices(hrep)
     assert [coords_key(v.coords, d) for v in brute] == [coords_key(v.coords, d) for v in dd]
     assert all(isinstance(v.certificate, VertexCertificate) for v in (*brute, *dd))
-    with pytest.raises(ValueError):
-        enumerate_vertices(hrep, method="auto")
 
 
 def test_vertex_file_bytes_are_pinned(tmp_path, v21, v31):
@@ -343,8 +342,20 @@ def test_vertex_file_round_trip(tmp_path, v21):
     assert path.read_text() == path2.read_text()
 
 
+@pytest.mark.parametrize("load,header,missing", [
+    (load_vertex_file, "# lambda-vertices n=1 count=8", "d="),
+    (load_vertex_file, "# lambda-vertices d=2 count=8 order=4", "n="),
+    (load_facet_file, "# lambda-facets d=2 n=1 order=4", "count="),
+])
+def test_a_header_without_a_field_is_a_value_error(tmp_path, load, header, missing):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=f"header lacks {missing}$"):
+        load(str(path))
+
+
 def test_facet_file_round_trip(tmp_path):
-    from lambda_hvm.polytope import load_facet_file, save_facet_file
+    from lambda_hvm.polytope import save_facet_file
 
     hrep = lambda_hrep(3, 1)
     path = tmp_path / "f31.txt"

@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from lambda_hvm.checks import random_traceless
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, phase_space
+from lambda_hvm.polytope import coord_order
 from lambda_hvm.stabilizer import (IsotropicSubgroup, ValueAssignment,
                                    assignment_is_valid, clifford_transport,
                                    closure_and_cnc, closure_under_inference,
                                    coarse_grain, enumerate_isotropics,
-                                   projector, projector_product,
+                                   projector, projector_matrix,
+                                   projector_product, projector_trace,
                                    value_assignments)
+from tests_support import (random_full_matrix, reference_projector_matrix,
+                           reference_projector_trace)
 
 
 def all_pairs(d, n):
@@ -263,3 +268,18 @@ def test_assignment_difference_linearity():
                 for k in range(d):
                     lhs = (gamma(a.scale(k)) - nu(a.scale(k))) % d
                     assert lhs == (k * (gamma(a) - nu(a))) % d
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_projector_matrix_and_trace_equal_the_reference_loops(d, n):
+    """pauli_sum and trace_with against the loops they replaced, on every
+    group and assignment; serialize() pins the declared order too."""
+    rng = random.Random(30 * d + n)
+    mats = [random_full_matrix(d ** n, coord_order(d), rng), random_traceless(d, n, rng)]
+    for g, r in all_pairs(d, n):
+        values = r.as_dict()
+        assert projector_matrix(d, n, g.elements, values).serialize_rows() == \
+            reference_projector_matrix(d, n, g.elements, values).serialize_rows()
+        for m in mats:
+            assert projector_trace(g.elements, values, m).serialize() == \
+                reference_projector_trace(g.elements, r, m).serialize()

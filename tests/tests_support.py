@@ -1,16 +1,18 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from lambda_hvm.cyclotomic import CycNumber
+from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.exact_lp import feasible_point
 from lambda_hvm.hvm import (CliffordOp, OracleBranch, ShotRecord, VertexSetIncomplete,
                             trace_with_projector)
-from lambda_hvm.linalg import exact_rank
+from lambda_hvm.linalg import CycMatrix, exact_rank, exact_solve
+from lambda_hvm.pauli import pauli_mono, pauli_order
 from lambda_hvm.polytope import (VertexCertificate, VertexRejection, _projected_rows,
-                                 additive_assignments, membership, operator_coords,
-                                 wigner_operator)
+                                 _vertices_from_coord_list, additive_assignments,
+                                 membership, operator_coords, wigner_operator)
 from lambda_hvm.stabilizer import group_projector_matrix, value_assignments
 
 
@@ -232,3 +234,82 @@ def reference_certify_vertex(coords, hrep):
     if rank != target:
         return VertexRejection(f"active set rank {rank} < {target}", (), rank)
     return VertexCertificate(tuple(active), rank)
+
+
+def reference_enumerate_brute_force(hrep):
+    """Solve every (D^2-1)-subset of facet equalities plus the trace row.
+
+    Complete: a vertex has some independent active subset of that size, so
+    it appears as the unique solution of at least one subsystem.  The slow
+    reference that double description is compared against.
+    """
+    dim = hrep.dim
+    need = dim - 1
+    one = CycNumber.one()
+    zero = CycNumber.zero()
+    trace_row = list(hrep.trace_vector())
+    found = []
+    for subset in itertools.combinations(range(hrep.facet_count()), need):
+        rows = [list(hrep.vectors[i]) for i in subset] + [trace_row]
+        rhs = [zero] * need + [one]
+        sol = exact_solve(rows, rhs)
+        if sol is None:
+            continue
+        ok, _, _ = membership(sol, hrep)
+        if ok:
+            found.append(sol)
+    return _vertices_from_coord_list(hrep, found)
+
+
+def _reference_trace_with_pauli(mat, b):
+    mono = pauli_mono(b)
+    order = pauli_order(b.d)
+    acc = CycNumber.zero(order)
+    for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
+        x = mat[j, p]
+        if not x.is_zero():
+            acc = acc + zeta(order, e) * x
+    return acc
+
+
+def reference_projector_trace(points, value, x):
+    """The per-module loop that stabilizer.projector_trace replaced:
+    Tr((1/|S|) sum omega^{-v(b)} T_b . X) with its own omega = mu^t."""
+    if not points:
+        return CycNumber.zero()
+    d = points[0].d
+    order = pauli_order(d)
+    t = 1 if d % 2 else 2
+    acc = CycNumber.zero(order)
+    for b in points:
+        acc = acc + zeta(order, (-t * value(b)) % order) * _reference_trace_with_pauli(x, b)
+    return acc * Fraction(1, len(points))
+
+
+def reference_projector_matrix(d, n, points, values):
+    """The monomial loop that projector_matrix ran before pauli_sum."""
+    pts = list(points)
+    dim = d ** n
+    order = pauli_order(d)
+    t = 1 if d % 2 else 2
+    zero = CycNumber.zero(order)
+    rows = [[zero] * dim for _ in range(dim)]
+    for b in pts:
+        mono = pauli_mono(b)
+        shift = (-t * values[b]) % order
+        for j, (p, e) in enumerate(zip(mono.perm, mono.exps)):
+            rows[p][j] = rows[p][j] + zeta(order, (e + shift) % order)
+    inv = Fraction(1, len(pts))
+    return CycMatrix([[x * inv for x in row] for row in rows])
+
+
+def random_full_matrix(dim, order, rng):
+    """A dim x dim matrix over Q(zeta_order), order >= 3, with no zero entry.
+
+    No product in a dense trace or matrix product is then skipped as zero,
+    so the dense forms declare every result at the same order as the
+    monomial ones and their serialize() can be compared.
+    """
+    z = zeta(order)
+    return CycMatrix([[CycNumber.from_rational(Fraction(rng.randint(1, 3), rng.randint(1, 2)), order)
+                       + z * rng.randint(1, 3) for _ in range(dim)] for _ in range(dim)])
