@@ -30,17 +30,25 @@ T_{S(a)} sends the coefficient x_a of a vertex to the slot S(a), times
 omega^{k_a}, and the image is looked up by its coefficients, with no dense
 matrix product.
 
-Sampling runs on a plan the model compiles once per circuit: a Clifford op
-becomes its vertex permutation as a list, and a measurement a table that
-maps alpha to the running float sums of its kernel's weights in sorted
-(beta, r_index) order with the matching (beta, outcome) pairs.  A table entry
-is filled from the kernel the first time a shot reaches alpha, so cold models
-work.  A shot draws u = rng.random() and takes the first item whose running
-sum exceeds u, the last item if none does; the sums are added in the order
-the kernel entries sort, so shot records are byte-identical to a loop that
+Sampling runs all shots of a run at once on stream version 2:
+`run_shots` draws one uniform matrix U = Generator(PCG64(seed)).random((shots,
+1 + measurements)) in row-major order, and row k drives shot k, column 0
+choosing the input vertex and column j the j-th measurement.  Record k
+depends only on row k, so a longer run starts with the records of a shorter
+one; earlier stream versions gave other records.  The shots then advance op
+by op on a plan the model compiles once per circuit: a Clifford op becomes
+its vertex permutation as an index array, and a measurement its point's
+table, padded arrays indexed by vertex that hold the running float sums of
+the kernel's weights in sorted (beta, r_index) order without the total
+(padded with +inf), the next vertex and the outcome of each item, and a mask
+of the rows filled.  Rows are filled from the kernel when a shot first
+reaches their vertex, so cold models work.  A draw u takes the item at the
+count of running sums <= u: the first whose sum exceeds u, the last if none
+does, exactly as bisect_right on the same sums; the sums are added in the
+order the kernel entries sort, so records are byte-identical to a loop that
 accumulates the weights one by one.  The model's `stats` count kernel,
-permutation and decomposition cache hits and misses, plan builds and table
-fills; nothing is counted per shot.
+permutation and decomposition cache hits and misses, plan builds, table rows
+filled and shots run, once per call and never per shot.
 
 The oracle evaluates the Born chain rule densely and exactly, branch by
 branch, but computes each op's transition only once per distinct state in a
@@ -55,9 +63,7 @@ runs the same Born-transition helper on the one branch it follows.
 
 from __future__ import annotations
 
-import os
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -146,10 +152,12 @@ class StateDistribution:
     weights: dict[int, object]
     mode: str
 
-    def _sampling_table(self) -> tuple[list[float], list[int]]:
+    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(running float sums without the total, vertices) for searchsorted."""
         table = getattr(self, "_table", None)
         if table is None:
-            table = self._table = _prefix_table(sorted(self.weights.items()))
+            sums, keys = _prefix_table(sorted(self.weights.items()))
+            table = self._table = (np.array(sums, dtype=float), np.array(keys, dtype=np.intp))
         return table
 
     def reconstruct(self) -> CycMatrix:
@@ -168,12 +176,12 @@ class StateDistribution:
 
 
 def _prefix_table(items: Iterable[tuple[object, object]]) -> tuple[list[float], list]:
-    """(running float sums, keys) of (key, weight) items, for bisect sampling.
+    """(running float sums, keys) of (key, weight) items, for sampling.
 
     A draw u takes the first key whose running sum exceeds u, and the last
     key when rounding leaves the total at or below u.  The total is therefore
-    left out: bisect_right(sums, u) over the other sums is at most the last
-    index, which is that clamp.
+    left out: the count of the other sums <= u is at most the last index,
+    which is that clamp.
     """
     keys, weights = zip(*items)
     return list(accumulate(map(float, weights)))[:-1], list(keys)
@@ -219,7 +227,33 @@ class TransitionKernel:
 
 
 STAT_NAMES = ("kernel_hits", "kernel_misses", "perm_hits", "perm_misses",
-              "decompose_hits", "decompose_misses", "plan_builds", "plan_fills")
+              "decompose_hits", "decompose_misses", "plan_builds", "plan_fills",
+              "shots")
+
+
+class _PointTable:
+    """The sampling table of one measurement point: row alpha holds the
+    kernel at alpha as running sums without the total (padded with +inf),
+    next vertices and outcomes, and `filled[alpha]` says it was built."""
+
+    def __init__(self, vertices: int):
+        self.cum = np.full((vertices, 0), np.inf)
+        self.nxt = np.zeros((vertices, 1), dtype=np.intp)
+        self.out = np.zeros((vertices, 1), dtype=np.intp)
+        self.filled = np.zeros(vertices, dtype=bool)
+
+    def fill(self, alpha: int, sums: list[float], nxt: Sequence[int], out: Sequence[int]) -> None:
+        """Store row alpha, widening every row when it has more items."""
+        grow = len(nxt) - self.nxt.shape[1]
+        if grow > 0:
+            rows = len(self.filled)
+            self.cum = np.hstack([self.cum, np.full((rows, grow), np.inf)])
+            self.nxt = np.hstack([self.nxt, np.zeros((rows, grow), dtype=np.intp)])
+            self.out = np.hstack([self.out, np.zeros((rows, grow), dtype=np.intp)])
+        self.cum[alpha, :len(sums)] = sums
+        self.nxt[alpha, :len(nxt)] = nxt
+        self.out[alpha, :len(out)] = out
+        self.filled[alpha] = True
 
 
 class HiddenVariableModel:
@@ -228,8 +262,7 @@ class HiddenVariableModel:
 
     `stats` maps each name in STAT_NAMES to a count: cache hits and misses
     of `kernel`, `clifford_permutation` and `decompose`, sampling plans
-    built and plan table entries filled.  Shots that run in a thread pool
-    may fill entries concurrently, and then some fills can go uncounted.
+    built, plan table rows filled and shots run.
     """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
@@ -243,7 +276,7 @@ class HiddenVariableModel:
         self._decompositions: dict[tuple, dict[int, object]] = {}
         self._float_cols: Optional[np.ndarray] = None
         self._plans: dict[int, tuple[Circuit, tuple]] = {}
-        self._tables: dict[PhasePoint, dict[int, tuple[list[float], list]]] = {}
+        self._tables: dict[PhasePoint, _PointTable] = {}
 
     # -- state decomposition -------------------------------------------------
 
@@ -431,7 +464,7 @@ class HiddenVariableModel:
     # -- compiled sampling plans ------------------------------------------------
 
     def _sampling_plan(self, circuit: Circuit) -> tuple:
-        """One (permutation list, table, point) step per op of the circuit.
+        """One (permutation array, table, point) step per op of the circuit.
 
         Clifford steps carry the permutation, measurement steps the table of
         their point, shared by every plan of this model.  A plan holds no
@@ -445,26 +478,26 @@ class HiddenVariableModel:
             for op in circuit.ops:
                 if isinstance(op, CliffordOp):
                     perm = self.clifford_permutation(op.element)
-                    steps.append(([perm[a] for a in range(len(perm))], None, None))
+                    steps.append((np.array([perm[a] for a in range(len(perm))], dtype=np.intp),
+                                  None, None))
                 else:
-                    steps.append((None, self._tables.setdefault(op.point, {}), op.point))
+                    table = self._tables.get(op.point)
+                    if table is None:
+                        table = self._tables[op.point] = _PointTable(len(self.vset))
+                    steps.append((None, table, op.point))
             # Keeping the circuit keeps its id from being reused by another.
             entry = (circuit, tuple(steps))
             self._plans[id(circuit)] = entry
         return entry[1]
 
-    def _fill_table(self, table: dict, alpha: int, point: PhasePoint) -> tuple[list[float], list]:
-        """Compile the kernel at alpha for measuring point into its table.
-
-        The entry is stored only once it is complete, so concurrent shots can
-        at worst build it twice.
-        """
+    def _fill_table(self, table: _PointTable, alpha: int, point: PhasePoint) -> None:
+        """Compile the kernel at alpha for measuring point into row alpha."""
         self.stats["plan_fills"] += 1
         kern = self.kernel(alpha, _cyclic_group(point))
-        entry = _prefix_table(((beta, kern.assignments[ri](point)), w)
-                              for (beta, ri), w in sorted(kern.entries.items()))
-        table[alpha] = entry
-        return entry
+        sums, keys = _prefix_table(((beta, kern.assignments[ri](point)), w)
+                                   for (beta, ri), w in sorted(kern.entries.items()))
+        nxt, out = zip(*keys)
+        table.fill(alpha, sums, nxt, out)
 
 
 def born_rule_aggregate(model: HiddenVariableModel, dist: StateDistribution,
@@ -575,46 +608,54 @@ class ShotRecord:
 
 def simulate_run(circuit: Circuit, model: HiddenVariableModel,
                  p_in: StateDistribution, seed: int) -> ShotRecord:
-    """One trajectory of the sampling algorithm, deterministic given the seed.
-
-    Runs on the model's compiled plan for the circuit and fills plan table
-    entries the shot reaches for the first time.
-    """
-    steps = model._sampling_plan(circuit)
-    draw = random.Random(seed).random
-    sums, keys = p_in._sampling_table()
-    alpha = keys[bisect_right(sums, draw())]
-    outcomes = []
-    for perm, table, point in steps:
-        if perm is not None:
-            alpha = perm[alpha]
-        else:
-            sums, keys = table.get(alpha) or model._fill_table(table, alpha, point)
-            alpha, outcome = keys[bisect_right(sums, draw())]
-            outcomes.append(outcome)
-    return ShotRecord(seed, tuple(outcomes), alpha)
+    """One trajectory: the first record of run_shots(circuit, model, p_in, 1, seed)."""
+    return run_shots(circuit, model, p_in, 1, seed)[0]
 
 
 def run_shots(circuit: Circuit, model: HiddenVariableModel, p_in: StateDistribution,
               shots: int, seed: int, threads: Optional[int] = None) -> list[ShotRecord]:
-    """Seeded independent trajectories; per-shot streams make the output
-    independent of scheduling."""
-    shot_seeds = [(seed * 0x9E3779B97F4A7C15 + k) % 2 ** 63 for k in range(shots)]
-    if threads is None:
-        threads = int(os.environ.get("LAMBDA_HVM_THREADS", "1"))
-    records = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        # warm the caches single-threaded on the first shot to avoid racing
-        if shots:
-            records.append(simulate_run(circuit, model, p_in, shot_seeds[0]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records.extend(pool.map(
-                lambda s: simulate_run(circuit, model, p_in, s), shot_seeds[1:]))
-    else:
-        records = [simulate_run(circuit, model, p_in, s) for s in shot_seeds]
-    return [ShotRecord(k, rec.outcomes, rec.final_vertex)
-            for k, rec in enumerate(records)]
+    """Seeded independent trajectories on stream version 2.
+
+    Row k of U = Generator(PCG64(seed)).random((shots, 1 + measurements))
+    drives shot k, so the records of a run are a prefix of those of any
+    longer run with the same seed.  `threads` accepts only None or 1: all
+    shots run in one batch, and the keyword goes once the benchmark stops
+    passing threads=1 (ROADMAP item 1).
+    """
+    if threads not in (None, 1):
+        raise ValueError("threads must be None or 1: the shots of a run are sampled in one batch")
+    if shots < 0 or seed < 0:
+        raise ValueError("shots and seed must be nonnegative")
+    draws = np.random.Generator(np.random.PCG64(seed)).random(
+        (shots, 1 + circuit.measurement_count()))
+    model.stats["shots"] += shots
+    return _sample_batch(circuit, model, p_in, draws)
+
+
+def _sample_batch(circuit: Circuit, model: HiddenVariableModel, p_in: StateDistribution,
+                  draws: np.ndarray) -> list[ShotRecord]:
+    """The records of the shots whose uniform draws are the rows of draws.
+
+    Column 0 picks the input vertex and column j the j-th measurement's
+    item; table rows that a shot reaches for the first time are filled from
+    the kernels before they are read.
+    """
+    sums, keys = p_in._sampling_table()
+    alpha = keys[np.searchsorted(sums, draws[:, 0], side="right")]
+    outcomes = np.empty((len(draws), draws.shape[1] - 1), dtype=np.intp)
+    j = 0
+    for perm, table, point in model._sampling_plan(circuit):
+        if perm is not None:
+            alpha = perm[alpha]
+            continue
+        missing = alpha[~table.filled[alpha]]
+        for a in np.unique(missing).tolist():
+            model._fill_table(table, a, point)
+        pick = (table.cum[alpha] <= draws[:, j + 1, None]).sum(axis=1)
+        outcomes[:, j] = table.out[alpha, pick]
+        alpha = table.nxt[alpha, pick]
+        j += 1
+    return list(map(ShotRecord, range(len(draws)), map(tuple, outcomes.tolist()), alpha.tolist()))
 
 
 # ---------------------------------------------------------------------------

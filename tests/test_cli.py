@@ -150,13 +150,13 @@ SIMULATE_CIRCUITS = {
         {"clifford": {"gate": "M2_0"}}, {"measure": {"a": "Z:(1)|X:(2)"}}]},
 }
 
-# sha256 of (the CSV, stdout) of those runs, recorded before the shot loop
-# ran on compiled sampling plans.
+# sha256 of (the CSV, stdout) of those runs on shot stream version 2
+# (PCG64 draw matrix, row k drives shot k).
 SIMULATE_SHA256 = {
-    ("2", "T"): ("3fce41dd6b06846892632d7ddc76623eb783bd6638a9901ddeb6862ff05ea0f1",
-                 "4ca64f8092b0293a581f051e6485e767350e953f969d2b0a6ab4bdaa30ff9908"),
-    ("3", "strange"): ("8690c60cc9ad037ee3075111f59ec41b2ad897e013f6f1b5dc587c81b791c1fc",
-                       "76249d69574aa4aaad0153ae56925938797a426790d3b66184431efe3679bcf8"),
+    ("2", "T"): ("122c4fdcfd8b9ad9af962ded4e7b1d4c691df7d565c410a0d35114c676597ea7",
+                 "9f51b6a4836326c984c77a388b4d6cff5c15786ea68d71987a065fee9b60f20f"),
+    ("3", "strange"): ("5d76a0ac137181c55167a46f0fa643f5a2c230794ae21dcb834cff2200674442",
+                       "da2b7e9e74810ec74c33ace09d186d61693a965b26d7a6647cc927ca15bb17e2"),
 }
 
 

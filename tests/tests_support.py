@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
 import itertools
-import random
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.exact_lp import feasible_point
@@ -69,13 +71,12 @@ def reference_simulate_run(circuit, model, p_in, rng, seed):
 
 
 def reference_run_shots(circuit, model, p_in, shots, seed):
-    """run_shots on the reference loop: one random.Random stream per shot."""
-    records = []
-    for k in range(shots):
-        shot_seed = (seed * 0x9E3779B97F4A7C15 + k) % 2 ** 63
-        rec = reference_simulate_run(circuit, model, p_in, random.Random(shot_seed), shot_seed)
-        records.append(ShotRecord(k, rec.outcomes, rec.final_vertex))
-    return records
+    """run_shots on the reference loop: row k of the stream-version-2 draw
+    matrix is the stream of shot k."""
+    draws = np.random.Generator(np.random.PCG64(seed)).random(
+        (shots, 1 + circuit.measurement_count()))
+    return [reference_simulate_run(circuit, model, p_in, SimpleNamespace(random=iter(row).__next__), k)
+            for k, row in enumerate(draws.tolist())]
 
 
 def reference_oracle_simulate(circuit):
