@@ -231,6 +231,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 1:
+        raise UsageError(f"--shots must be >= 1, got {args.shots}")
     with open(args.circuit) as fh:
         circuit = parse_circuit(fh.read())
     if (circuit.d, circuit.n) != (args.d, args.n):

@@ -17,6 +17,7 @@ excludes zero.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -526,21 +527,27 @@ class CycNumber:
             prec *= 2
         raise SignUndecidedError(f"sign undecided at {_MAX_SIGN_BITS} bits: {self!r}")
 
-    def __lt__(self, other):
+    def _compare(self, other, op):
+        """op(sign of self - other, 0), or NotImplemented for other types;
+        against the int 0 the sign is self.sign(), with no subtraction."""
+        if type(other) is int and other == 0:
+            return op(self.sign(), 0)
         a, b = self._coerce(other)
-        return (a - b).sign() < 0
+        if b is NotImplemented:
+            return NotImplemented
+        return op((a - b).sign(), 0)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() >= 0
+        return self._compare(other, operator.ge)
 
     # -- serialization --------------------------------------------------------
 

@@ -13,30 +13,40 @@ The solve is rational first:
   the field system, and the rational simplex returns it;
 * only when the split system is infeasible -- a split row reads 0 = c with
   c != 0, which skips the rational simplex, or the simplex finds no point --
-  does the ordered-field simplex run on the original rows, with exact sign
-  tests on real cyclotomic numbers.  States whose decompositions need
-  irrational weights (sqrt(2), sqrt(3), ...) take this path, and the basic
-  solution then lives in the same real field.
+  does the field simplex run on the original rows, with exact sign tests on
+  real cyclotomic numbers.  States whose decompositions need irrational
+  weights (sqrt(2), sqrt(3), ...) take this path, and the basic solution
+  then lives in the same real field.
 
-The rational simplex runs on an integer tableau (Edmonds' integer-preserving
-pivot, as in Bareiss elimination).  Rows are flipped to b >= 0, and row i of
-[A | b] is scaled to integers by the lcm l_i of its own denominators.  The
-artificial basis of that integer system is diag(l_i), of determinant
-D = prod(l_i), and the tableau holds D times the textbook rational tableau
-[A | I | b]; the phase-I cost row, the artificial sum, is kept the same way.
-Pivoting on entry pe of row p replaces every other row (and the cost row)
-by (pe * row - row[e] * M[p]) // D and then sets D = pe.  Throughout, D is
-the determinant of the current basis columns of the scaled integer system,
-and by Cramer's rule every entry is D times the rational entry, an integer,
-so the floor division is exact.  D stays positive (each pivot entry is), so
-every sign, ratio comparison (cross-multiplied) and Bland tie-break is the
-one the rational tableau would make, and the point is read out as
-Fraction(rhs, D).  Scaling every row by one common lcm L and starting from
-D = L is right only when the row lcms are pairwise coprime; otherwise D is
-not the basis determinant, entries stop being integers and the floor
-division silently returns wrong points.
+Both run one Bland loop, ``_phase_one``, on a tableau whose rows are
+[A | I | b] with rows flipped to b >= 0, followed by the phase-I cost row
+(the column sums, zero on the artificial columns, the artificial sum last).
+Every entry is D times the textbook tableau entry, for a D > 0 that the
+pivot rule keeps, so each sign, each ratio comparison -- cross-multiplied,
+r_i * a_l against r_l * a_i, with no division -- and each Bland tie-break is
+the textbook tableau's.  The loop stops when no cost entry is positive, and
+one readout returns the basic point, or None while the artificial sum is
+not zero.  Only the pivot rule differs between the paths:
 
-The field simplex is the textbook tableau over CycNumbers.
+* rational: an integer tableau (Edmonds' integer-preserving pivot, as in
+  Bareiss elimination).  Row i of [A | b] is scaled to integers by the lcm
+  l_i of its own denominators; the artificial basis of that integer system
+  is diag(l_i), of determinant D = prod(l_i), and the tableau holds D times
+  the rational one.  Pivoting on entry pe of row p replaces every other row
+  (and the cost row) by (pe * row - row[e] * M[p]) // D and then sets
+  D = pe.  Throughout, D is the determinant of the current basis columns of
+  the scaled integer system, and by Cramer's rule every entry is D times the
+  rational entry, an integer, so the floor division is exact.  D stays
+  positive (each pivot entry is), and the point is read out as
+  Fraction(rhs, D).  Scaling every row by one common lcm L and starting from
+  D = L is right only when the row lcms are pairwise coprime; otherwise D is
+  not the basis determinant, entries stop being integers and the floor
+  division silently returns wrong points.
+* field: the textbook tableau over real CycNumbers, D = 1.  The pivot row
+  is divided by its pivot entry and f times it is subtracted from every row
+  whose entry f in the pivot column is not zero.  A fraction-free pivot
+  would still divide by D in the field, on entries that grow, so this path
+  inverts once per pivot instead.
 
 ``stats`` counts solves by path (``rational`` input, the ``split`` system,
 the ``field`` fallback) and simplex ``pivots`` on both paths, for the life
@@ -85,7 +95,7 @@ def feasible_point(a_rows: Sequence[Sequence], b: Sequence):
         if x is not None:
             return x
     stats["field"] += 1
-    return _simplex(a_rows, b)
+    return _field_simplex(a_rows, b)
 
 
 def _split_rows(a_rows, b):
@@ -115,16 +125,7 @@ def _coefficients(x, order: int) -> list[Fraction]:
 
 def _rational_simplex(a_rows, b):
     tab, cost, det, basis = _integer_phase_one(a_rows, b)
-    if cost[-1] != 0:
-        return None
-    n = len(cost) - 1 - len(tab)
-    x = [Fraction(0)] * n
-    for row, var in zip(tab, basis):
-        if var < n:
-            x[var] = Fraction(row[-1], det)
-        elif row[-1] != 0:
-            raise AssertionError("artificial variable with nonzero value at optimum")
-    return x
+    return _point(tab, cost, basis, lambda v: Fraction(v, det))
 
 
 def _integer_phase_one(a_rows, b):
@@ -146,16 +147,47 @@ def _integer_phase_one(a_rows, b):
     for i, (r, den) in enumerate(zip(scaled, dens)):
         f = det // den
         tab.append([f * v for v in r[:n]] + [det if j == i else 0 for j in range(m)] + [f * r[n]])
-    cost = [sum(col) for col in zip(*tab)]
-    cost[n:n + m] = [0] * m
-    basis = [n + i for i in range(m)]
+    cost, det, basis = _phase_one(tab, det, n, _integer_pivot)
+    return tab, cost, det, basis
 
+
+def _field_simplex(a_rows, b):
+    """Phase I on the tableau of real CycNumbers, D = 1 throughout."""
+    m, n = len(a_rows), len(a_rows[0])
+    one, zero = CycNumber.one(), CycNumber.zero()
+    tab = []
+    for i, (row, bi) in enumerate(zip(a_rows, b)):
+        r = [CycNumber.from_rational(x) for x in (*row, bi)]
+        if r[-1] < 0:
+            r = [-x for x in r]
+        tab.append(r[:n] + [one if j == i else zero for j in range(m)] + r[n:])
+    cost, _, basis = _phase_one(tab, 1, n, _field_pivot)
+    return _point(tab, cost, basis, CycNumber.from_rational)
+
+
+def _phase_one(tab, det, n, pivot):
+    """Bland's rule on the rows of tab from the artificial basis, whose
+    columns hold D on the diagonal; the final (cost row, D, basis), with the
+    rows of tab pivoted in place.
+
+    Every entry is D times the textbook tableau entry and D > 0, so signs
+    and cross-multiplied ratios are those of the textbook tableau.
+    pivot(tab, p, e, D) pivots every row of tab, the cost row last, on row
+    p and column e, and returns the new D.
+    """
+    m = len(tab)
+    cost = [sum(col) for col in zip(*tab)]
+    cost[n:-1] = [c - det for c in cost[n:-1]]
+    tab.append(cost)
+    basis = [n + i for i in range(m)]
     while True:
+        cost = tab[-1]
         enter = next((j for j in range(n + m) if cost[j] > 0), None)
         if enter is None:
-            return tab, cost, det, basis
+            return tab.pop(), det, basis
         leave = None
-        for i, row in enumerate(tab):
+        for i in range(m):
+            row = tab[i]
             a = row[enter]
             if a > 0:
                 if leave is None:
@@ -168,98 +200,49 @@ def _integer_phase_one(a_rows, b):
                     leave = i
         if leave is None:
             raise ArithmeticError("unbounded phase-I simplex")
-        prow = tab[leave]
-        pe = prow[enter]
-        for i, row in enumerate(tab):
-            if i != leave:
-                tab[i] = _eliminate(row, prow, enter, pe, det)
-        cost = _eliminate(cost, prow, enter, pe, det)
-        det = pe
+        det = pivot(tab, leave, enter, det)
         basis[leave] = enter
         stats["pivots"] += 1
 
 
-def _eliminate(row, prow, enter, pe, det):
-    """(pe * row - row[enter] * prow) // det, exact by the D invariant."""
-    f = row[enter]
-    if f == 0:
-        return [pe * x // det for x in row]
-    return [(pe * x - f * y) // det for x, y in zip(row, prow)]
+def _integer_pivot(tab, p, e, det):
+    """Every other row r becomes (pe * r - r[e] * M[p]) // D, exact by the D
+    invariant; the new D is pe."""
+    prow = tab[p]
+    pe = prow[e]
+    for i, row in enumerate(tab):
+        if i != p:
+            f = row[e]
+            if f == 0:
+                tab[i] = [pe * x // det for x in row]
+            else:
+                tab[i] = [(pe * x - f * y) // det for x, y in zip(row, prow)]
+    return pe
 
 
-def _simplex(a_rows, b):
-    """Phase-I Bland simplex over the ordered field of real CycNumbers."""
-    m = len(a_rows)
-    n = len(a_rows[0])
-    one = CycNumber.one()
-    zero = CycNumber.zero()
-    tab = []
-    rhs = []
-    for row, bi in zip(a_rows, b):
-        r = [CycNumber.from_rational(x) for x in row]
-        v = CycNumber.from_rational(bi)
-        if v.sign() < 0:
-            r = [-x for x in r]
-            v = -v
-        tab.append(r)
-        rhs.append(v)
-    for i in range(m):
-        tab[i].extend(one if i == j else zero for j in range(m))
-    basis = [n + i for i in range(m)]
+def _field_pivot(tab, p, e, det):
+    """Row p is divided by its pivot entry and f times it is subtracted from
+    every row with f = r[e] != 0; D stays 1."""
+    inv = CycNumber.one() / tab[p][e]
+    prow = tab[p] = [x * inv for x in tab[p]]
+    for i, row in enumerate(tab):
+        f = row[e]
+        if i != p and f != 0:
+            tab[i] = [x - f * y for x, y in zip(row, prow)]
+    return det
 
-    # phase-I reduced costs for minimizing the artificial sum
-    cost = []
-    for j in range(n + m):
-        s = zero
-        for i in range(m):
-            s = s + tab[i][j]
-        cost.append(s if j < n else s - one)
-    obj = zero
-    for v in rhs:
-        obj = obj + v
 
-    while True:
-        enter = next((j for j in range(n + m) if cost[j].sign() > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a.sign() > 0:
-                ratio = rhs[i] / a
-                if best is None:
-                    best, leave = ratio, i
-                else:
-                    c = (ratio - best).sign()
-                    if c < 0 or (c == 0 and basis[i] < basis[leave]):
-                        best, leave = ratio, i
-        if leave is None:
-            raise ArithmeticError("unbounded phase-I simplex")
-        piv = tab[leave][enter]
-        inv = one / piv
-        tab[leave] = [x * inv for x in tab[leave]]
-        rhs[leave] = rhs[leave] * inv
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f.sign() != 0:
-                    ti, tl = tab[i], tab[leave]
-                    tab[i] = [x - f * y for x, y in zip(ti, tl)]
-                    rhs[i] = rhs[i] - f * rhs[leave]
-        f = cost[enter]
-        if f.sign() != 0:
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
-            obj = obj - f * rhs[leave]
-        basis[leave] = enter
-        stats["pivots"] += 1
-
-    if obj.sign() != 0:
+def _point(rows, cost, basis, value):
+    """The basic feasible point of the final tableau, or None while the
+    artificial sum is not zero; value(entry) is the coordinate of an rhs
+    entry, value(0) that of a nonbasic column."""
+    if cost[-1] != 0:
         return None
-    x = [zero] * n
-    for i, var in enumerate(basis):
+    n = len(cost) - 1 - len(rows)
+    x = [value(0)] * n
+    for row, var in zip(rows, basis):
         if var < n:
-            x[var] = rhs[i]
-        elif rhs[i].sign() != 0:
+            x[var] = value(row[-1])
+        elif row[-1] != 0:
             raise AssertionError("artificial variable with nonzero value at optimum")
     return x

@@ -429,28 +429,21 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
-        assignments = _group_assignments(group)
-        a_mat = self.vset[alpha].matrix
+        probs, post = _born_transition(group, self.vset[alpha].matrix)
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
-        for ri, r in enumerate(assignments):
-            t = trace_with_projector(group, r, a_mat)
-            if not t.is_real():
-                raise AssertionError("projector trace must be real")
+        for ri, t in enumerate(probs):
             sgn = t.sign()
             if sgn < 0:
                 raise AssertionError("negative outcome weight on a polytope vertex")
             marginals.append(t if self.mode == "exact" else float(t))
             if sgn == 0:
                 continue
-            proj = group_projector_matrix(group, r)
-            post = proj @ a_mat @ proj
-            scaled = post.scale(t.inverse())
-            dist = self.decompose(scaled)
+            dist = self.decompose(post(ri))
             for beta, w in dist.weights.items():
                 q = (t * w) if self.mode == "exact" else float(t) * w
                 entries[(beta, ri)] = q
-        kern = TransitionKernel(alpha, group, assignments, entries, tuple(marginals))
+        kern = TransitionKernel(alpha, group, _group_assignments(group), entries, tuple(marginals))
         if self.mode == "exact":
             total = CycNumber.zero()
             for w in kern.entries.values():

@@ -216,6 +216,16 @@ def test_simulate_empty_circuit(tmp_path, capsys):
     assert len(lines) == 11  # header + one row per shot, no outcome columns
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_simulate_without_shots_is_a_usage_error(tmp_path, capsys, shots):
+    circ = tmp_path / "c.json"
+    circ.write_text(CIRCUIT_T)
+    code, stdout, err = run(capsys, "simulate", "-d", "2", "-n", "1", str(circ), "--shots", shots)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: --shots must be >= 1, got {shots}\n"
+
+
 def test_verify_command(capsys):
     code, stdout, _ = run(capsys, "verify", "--suite", "pauli", "-d", "2", "-n", "1")
     assert code == 0

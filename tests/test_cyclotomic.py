@@ -86,6 +86,22 @@ def test_sign_decision():
         zeta(3).sign()
 
 
+def test_order_comparisons_agree_with_the_sign_of_the_difference():
+    # 0 takes the direct sign path; the others are coerced and subtracted
+    values = [sqrt_int(2) - 1, 1 - sqrt_int(2), sqrt_int(3) * Fraction(1, 2), CycNumber.zero(8),
+              CycNumber.zero(), rational(Fraction(-2, 3)), zeta(3) + zeta(3, 2) + 2]
+    others = [0, 1, -2, Fraction(1, 2), Fraction(-2, 3), CycNumber.zero(12), sqrt_int(3) - 1,
+              sqrt_int(2) * Fraction(1, 3), zeta(3) + zeta(3, 2)]
+    for a in values:
+        for b in others:
+            s = (a - b).sign()
+            assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0), (a, b)
+    with pytest.raises(TypeError):
+        sqrt_int(2) < 1.5
+    with pytest.raises(ValueError):
+        zeta(3) > 0
+
+
 def test_exact_sqrt():
     for k in (2, 3, 5, 6, 7, 8, 12, 18):
         v = sqrt_int(k)

@@ -1,7 +1,8 @@
 """Exact feasibility LP: the rational split path, the field fallback and
 infeasibility, on seeded systems over the real subfields of Q(zeta_8)
-(sqrt 2) and Q(zeta_12) (sqrt 3), each answer rechecked exactly; and the
-integer rational simplex against the Fraction simplex it replaced."""
+(sqrt 2) and Q(zeta_12) (sqrt 3), each answer rechecked exactly; the
+integer rational simplex against the Fraction simplex it replaced, and the
+field path of the shared Bland loop against the field simplex it replaced."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from lambda_hvm.hvm import HiddenVariableModel, MeasureOp, random_circuit
 from lambda_hvm.pauli import clifford_generators, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep, operator_coords
 from lambda_hvm.presets import preset_state
-from tests_support import reference_phase_one, reference_simplex
+from tests_support import reference_field_simplex, reference_phase_one, reference_simplex
 
 # field order -> the square root generating its real subfield
 FIELDS = {8: 2, 12: 3}
@@ -51,9 +52,8 @@ def calls():
     return lambda: {k: exact_lp.stats[k] - start[k] for k in ("rational", "split", "field")}
 
 
-@pytest.mark.parametrize("order", sorted(FIELDS))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_planted_rational_solution_takes_the_split_path(order, seed, calls):
+def planted_rational_lp(order, seed):
+    """3 x 7 field rows with a planted rational point and irrational b."""
     rng = random.Random(f"exact_lp/rational/{order}/{seed}")
     m, n = 3, 7
     while True:
@@ -62,7 +62,35 @@ def test_planted_rational_solution_takes_the_split_path(order, seed, calls):
                    for _ in range(n)]
         b = [dot(row, planted) for row in rows]
         if not all(bi.is_rational() for bi in b):
-            break
+            return rows, b
+
+
+def planted_irrational_lp(order, seed):
+    """An invertible 3 x 3 field system whose one solution is irrational."""
+    rng = random.Random(f"exact_lp/irrational/{order}/{seed}")
+    root = sqrt_int(FIELDS[order])
+    m = 3
+    while True:
+        rows = [[real_entry(rng, order) for _ in range(m)] for _ in range(m)]
+        planted = [Fraction(rng.randint(1, 4)) + root * Fraction(rng.randint(0, 2), 3) for _ in range(m)]
+        if any(not w.is_rational() for w in planted) and _det3(rows) != 0:
+            return rows, [dot(row, planted) for row in rows], planted
+
+
+def infeasible_lp(order, seed):
+    """Positive entries summed against a negative right-hand side."""
+    rng = random.Random(f"exact_lp/infeasible/{order}/{seed}")
+    root = sqrt_int(FIELDS[order])
+    n = 5
+    rows = [[Fraction(rng.randint(1, 3)) + root * Fraction(rng.randint(1, 2)) for _ in range(n)]
+            for _ in range(2)]
+    return rows, [CycNumber.from_rational(-1, order), real_entry(rng, order)]
+
+
+@pytest.mark.parametrize("order", sorted(FIELDS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_planted_rational_solution_takes_the_split_path(order, seed, calls):
+    rows, b = planted_rational_lp(order, seed)
     x = feasible_point(rows, b)
     assert x is not None and all(type(w) is Fraction for w in x)
     assert_solves(rows, b, x)
@@ -74,15 +102,7 @@ def test_planted_rational_solution_takes_the_split_path(order, seed, calls):
 def test_planted_irrational_solution_falls_back_to_the_field(order, seed, calls):
     # A square invertible system has one solution; planted irrational, it
     # leaves the split system infeasible and the field simplex must find it.
-    rng = random.Random(f"exact_lp/irrational/{order}/{seed}")
-    root = sqrt_int(FIELDS[order])
-    m = 3
-    while True:
-        rows = [[real_entry(rng, order) for _ in range(m)] for _ in range(m)]
-        planted = [Fraction(rng.randint(1, 4)) + root * Fraction(rng.randint(0, 2), 3) for _ in range(m)]
-        if any(not w.is_rational() for w in planted) and _det3(rows) != 0:
-            break
-    b = [dot(row, planted) for row in rows]
+    rows, b, planted = planted_irrational_lp(order, seed)
     x = feasible_point(rows, b)
     assert x is not None and all(isinstance(w, CycNumber) for w in x)
     assert all(w == p for w, p in zip(x, planted))
@@ -140,14 +160,7 @@ def test_zero_split_row_skips_the_rational_simplex(calls):
 @pytest.mark.parametrize("order", sorted(FIELDS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_infeasible_on_both_paths(order, seed, calls):
-    # positive entries summed against a negative right-hand side
-    rng = random.Random(f"exact_lp/infeasible/{order}/{seed}")
-    root = sqrt_int(FIELDS[order])
-    n = 5
-    rows = [[Fraction(rng.randint(1, 3)) + root * Fraction(rng.randint(1, 2)) for _ in range(n)]
-            for _ in range(2)]
-    b = [CycNumber.from_rational(-1, order), real_entry(rng, order)]
-    assert feasible_point(rows, b) is None
+    assert feasible_point(*infeasible_lp(order, seed)) is None
     assert calls() == {"rational": 0, "split": 1, "field": 1}
 
 
@@ -296,3 +309,80 @@ def test_job_panel_lps_match_the_fraction_simplex(monkeypatch):
     assert len(lps) == 8 and len(systems) == 6
     for rows, b in systems:
         assert_matches_reference(rows, b)
+
+
+# -- the field path against the CycNumber simplex -------------------------------
+
+
+def assert_field_matches_reference(rows, b):
+    """Same point (or None), with the same serialize() bytes, and the same
+    pivot count as the reference CycNumber simplex."""
+    start = exact_lp.stats["pivots"]
+    x = exact_lp._field_simplex(rows, b)
+    pivots = exact_lp.stats["pivots"] - start
+    expected, ref_pivots = reference_field_simplex(rows, b)
+    assert pivots == ref_pivots
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert all(isinstance(w, CycNumber) for w in x)
+        assert x == expected
+        assert [w.serialize() for w in x] == [w.serialize() for w in expected]
+    return x
+
+
+@pytest.mark.parametrize("order", sorted(FIELDS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_field_path_matches_the_cyc_simplex_on_seeded_systems(order, seed):
+    rows, b, planted = planted_irrational_lp(order, seed)
+    assert assert_field_matches_reference(rows, b) == planted
+    rows, b = planted_rational_lp(order, seed)
+    assert_solves(rows, b, assert_field_matches_reference(rows, b))
+    assert assert_field_matches_reference(*infeasible_lp(order, seed)) is None
+
+
+@st.composite
+def field_lps(draw):
+    """Small systems over Q(sqrt 2) or Q(sqrt 3) with degenerate ties: zero
+    and repeated columns, zero right-hand sides, planted points."""
+    order = draw(st.sampled_from(sorted(FIELDS)))
+    root = sqrt_int(FIELDS[order])
+    entry = st.builds(lambda p, q: CycNumber.from_rational(p, order) + root * q,
+                      st.integers(-2, 2), st.sampled_from((0, 0, 1, -1, Fraction(1, 2))))
+    m = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        cols.append(list(draw(st.sampled_from(cols))))
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), [CycNumber.zero(order)] * m)
+    rows = [[col[i] for col in cols] for i in range(m)]
+    if draw(st.booleans()):
+        # a planted point, often with zeros, so ratio ties are common
+        x = draw(st.lists(st.sampled_from((0, 0, 1, 2, root, 1 + root * Fraction(1, 2))),
+                          min_size=len(cols), max_size=len(cols)))
+        b = [dot(row, x) for row in rows]
+    else:
+        b = [draw(st.one_of(st.just(CycNumber.zero(order)), entry)) for _ in range(m)]
+    return rows, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_lps())
+def test_field_path_matches_the_cyc_simplex(lp):
+    assert_field_matches_reference(*lp)
+
+
+def test_magic_state_lps_match_the_cyc_simplex(monkeypatch, calls):
+    # the input decompositions of T and H at d = 2, which need the field
+    # path, and of the strange and norrell states at d = 3, which the split
+    # path answers; the field simplex is run on all four
+    def run():
+        for d, names in ((2, ("T", "H")), (3, ("strange", "norrell"))):
+            model = HiddenVariableModel(enumerate_vertices(lambda_hrep(d, 1)), mode="exact")
+            for name in names:
+                model.decompose(preset_state(name, d, 1))
+
+    lps = _recorded_lps(monkeypatch, run)
+    assert len(lps) == 4
+    assert calls() == {"rational": 0, "split": 2, "field": 2}
+    for rows, b in lps:
+        assert_solves(rows, b, assert_field_matches_reference(rows, b))

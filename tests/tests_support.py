@@ -184,6 +184,90 @@ def _fraction(x):
     return x.as_fraction() if isinstance(x, CycNumber) else Fraction(x)
 
 
+def reference_field_simplex(a_rows, b):
+    """The phase-I Bland simplex over real CycNumbers, with its own loop,
+    rhs and objective lists and per-candidate ratio divisions, that the
+    shared loop replaced; kept to compare against.
+
+    Returns (point or None, pivots).
+    """
+    m = len(a_rows)
+    n = len(a_rows[0])
+    one = CycNumber.one()
+    zero = CycNumber.zero()
+    tab = []
+    rhs = []
+    for row, bi in zip(a_rows, b):
+        r = [CycNumber.from_rational(x) for x in row]
+        v = CycNumber.from_rational(bi)
+        if v.sign() < 0:
+            r = [-x for x in r]
+            v = -v
+        tab.append(r)
+        rhs.append(v)
+    for i in range(m):
+        tab[i].extend(one if i == j else zero for j in range(m))
+    basis = [n + i for i in range(m)]
+
+    # phase-I reduced costs for minimizing the artificial sum
+    cost = []
+    for j in range(n + m):
+        s = zero
+        for i in range(m):
+            s = s + tab[i][j]
+        cost.append(s if j < n else s - one)
+    obj = zero
+    for v in rhs:
+        obj = obj + v
+    pivots = 0
+
+    while True:
+        enter = next((j for j in range(n + m) if cost[j].sign() > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a.sign() > 0:
+                ratio = rhs[i] / a
+                if best is None:
+                    best, leave = ratio, i
+                else:
+                    c = (ratio - best).sign()
+                    if c < 0 or (c == 0 and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+        if leave is None:
+            raise ArithmeticError("unbounded phase-I simplex")
+        piv = tab[leave][enter]
+        inv = one / piv
+        tab[leave] = [x * inv for x in tab[leave]]
+        rhs[leave] = rhs[leave] * inv
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                if f.sign() != 0:
+                    ti, tl = tab[i], tab[leave]
+                    tab[i] = [x - f * y for x, y in zip(ti, tl)]
+                    rhs[i] = rhs[i] - f * rhs[leave]
+        f = cost[enter]
+        if f.sign() != 0:
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            obj = obj - f * rhs[leave]
+        basis[leave] = enter
+        pivots += 1
+
+    if obj.sign() != 0:
+        return None, pivots
+    x = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rhs[i]
+        elif rhs[i].sign() != 0:
+            raise AssertionError("artificial variable with nonzero value at optimum")
+    return x, pivots
+
+
 def reference_clifford_permutation(vset, u):
     """The dense loop that label-level permutations replaced, kept to compare
     against: U A U^dag for every vertex, looked up by its coordinates."""
