@@ -51,14 +51,22 @@ class UsageError(ValueError):
 # circuit parsing
 
 
+def _parse_entry(x):
+    if isinstance(x, str):
+        return CycNumber.parse(x)
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is neither a number nor a cyclotomic literal")
+
+
 def parse_matrix(rows: list, d: int, n: int) -> CycMatrix:
     dim = d ** n
-    if not isinstance(rows, list) or len(rows) != dim or any(len(r) != dim for r in rows):
+    if (not isinstance(rows, list) or len(rows) != dim
+            or any(not isinstance(r, list) or len(r) != dim for r in rows)):
         raise UsageError(f"matrix must be {dim}x{dim}")
     try:
-        return CycMatrix([[CycNumber.parse(x) if isinstance(x, str) else Fraction(x)
-                           for x in row] for row in rows])
-    except ValueError as exc:
+        return CycMatrix([[_parse_entry(x) for x in row] for row in rows])
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad matrix entry: {exc}") from exc
 
 
@@ -83,10 +91,17 @@ def parse_circuit(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise UsageError("circuit must be a JSON object")
     for key in ("d", "n", "state", "ops"):
         if key not in doc:
             raise UsageError(f"circuit is missing the {key!r} field")
-    d, n = int(doc["d"]), int(doc["n"])
+    for key in ("d", "n"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise UsageError(f"circuit field {key!r} must be an integer, got {doc[key]!r}")
+    if not isinstance(doc["ops"], list):
+        raise UsageError(f"circuit field 'ops' must be a list, got {doc['ops']!r}")
+    d, n = doc["d"], doc["n"]
     _guard_dims(d, n)
     state, state_name = parse_state(doc["state"], d, n)
     gates = {g.name: g for g in clifford_generators(d, n)}
@@ -97,9 +112,11 @@ def parse_circuit(text: str) -> Circuit:
             raise UsageError(f"{where}: each op is one of {{'measure': ...}} or {{'clifford': ...}}")
         if "measure" in op:
             body = op["measure"]
+            if not isinstance(body, dict) or not isinstance(body.get("a"), str):
+                raise UsageError(f"{where}: a measure op is {{'measure': {{'a': LABEL}}}}")
             try:
                 point = PhasePoint.parse(body["a"], d)
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise UsageError(f"{where}: bad measurement label: {exc}")
             if point.n != n:
                 raise UsageError(f"{where}: measurement label has {point.n} sites, expected {n}")
@@ -108,9 +125,11 @@ def parse_circuit(text: str) -> Circuit:
             ops.append(MeasureOp(point))
         elif "clifford" in op:
             body = op["clifford"]
+            if not isinstance(body, dict):
+                raise UsageError(f"{where}: clifford op needs 'gate' or 'matrix'")
             if "gate" in body:
                 name = body["gate"]
-                if name not in gates:
+                if not isinstance(name, str) or name not in gates:
                     raise UsageError(f"{where}: unknown gate {name!r}; available: {sorted(gates)}")
                 ops.append(CliffordOp(gates[name], name))
             elif "matrix" in body:

@@ -10,6 +10,12 @@ with a common positive denominator.  The representation is canonical: two
 values are equal iff their (order-promoted) coefficient vectors are equal.
 Rationals are the order-1 case.
 
+The Galois automorphisms sigma_k: zeta -> zeta^k (k a unit mod N) act on the
+power basis through one table per k; complex conjugation is sigma_{-1}.  The
+inverse of an irrational x is read off its norm: N(x), the product of
+sigma_k(x) over all units k, is a nonzero rational, so
+1/x = (prod_{k != 1} sigma_k(x)) / N(x).
+
 Real values (conj(x) == x) admit a decidable sign test: an exact zero test on
 the canonical form, otherwise interval refinement until the enclosure
 excludes zero.
@@ -48,46 +54,33 @@ class SignUndecidedError(ArithmeticError):
 # cyclotomic polynomials and reduction tables
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _monic_quotient(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """num / den for integer polynomials (low degree first), den monic and
+    dividing num exactly."""
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
+    out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        coef = num[k + len(den) - 1] * inv_lead
-        out[k] = coef
+        coef = out[k] = num[k + len(den) - 1]
         if coef:
             for j, c in enumerate(den):
                 num[k + j] -= coef * c
-    return out, num[: len(den) - 1]
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low degree first, monic with integer entries."""
+    """Coefficients of Phi_n, low degree first, monic with integer entries.
+
+    x^n - 1 is the product of Phi_d over the divisors d of n, so dividing it
+    by Phi_d for every proper divisor leaves Phi_n.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            den = _poly_mul_frac(den, phi_d)
-    quot, rem = _poly_divmod(num, den)
-    assert all(r == 0 for r in rem)
-    assert all(c.denominator == 1 for c in quot)
-    return tuple(int(c) for c in quot)
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+            poly = _monic_quotient(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +119,22 @@ def _promotion_table(small: int, big: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _conjugation_table(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row k: basis image of zeta^{-k} = zeta^{order-k}, for k < deg(order)."""
+def _galois_table(order: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Row j: basis image of zeta^{jk}, for j < deg(order); the automorphism
+    sigma_k: zeta -> zeta^k of Q(zeta_order), for k a unit mod order."""
     tab = _power_table(order)
-    return tuple(tab[(-k) % order] for k in range(_degree(order)))
+    return tuple(tab[(j * k) % order] for j in range(_degree(order)))
+
+
+def _map_basis(num: tuple[int, ...], table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Coefficients of sum_k num[k] * table[k]: a linear map given by the
+    basis images of its rows."""
+    out = [0] * len(table[0])
+    for c, row in zip(num, table):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return tuple(out)
 
 
 def _content(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
@@ -275,15 +280,7 @@ class CycNumber:
             return self
         if order % self.order != 0:
             raise ValueError(f"cannot promote order {self.order} into {order}")
-        table = _promotion_table(self.order, order)
-        deg = _degree(order)
-        out = [0] * deg
-        for k, c in enumerate(self.num):
-            if c:
-                row = table[k]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return CycNumber(order, tuple(out), self.den)
+        return CycNumber(order, _map_basis(self.num, _promotion_table(self.order, order)), self.den)
 
     def demoted(self, order: int) -> "CycNumber | None":
         """The same value inside Q(zeta_order), or None if it does not lie there.
@@ -390,36 +387,18 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
+        """1/x = (prod of sigma_k(x) over the units k != 1) / N(x), where the
+        norm N(x), the product over every unit k, is a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             fr = 1 / self.as_fraction()
             return CycNumber.from_rational(fr, self.order)
-        # extended Euclid in Q[x] against Phi_order
-        deg = _degree(self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                coeffs = [c * inv_c for c in s1]
-                coeffs += [Fraction(0)] * (deg - len(coeffs))
-                den = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-                nums = tuple(int(c * den) for c in coeffs[:deg])
-                return CycNumber(self.order, nums, den)
-            q, rem = _poly_divmod(r0, r1)
-            s_new = list(s0)
-            s_new += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s_new))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s_new[i + j] -= qc * sc
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+        others = CycNumber.one(self.order)
+        for k in range(2, self.order):
+            if gcd(k, self.order) == 1:
+                others = others * self.galois(k)
+        return others * (1 / (self * others).as_fraction())
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -443,16 +422,15 @@ class CycNumber:
                 base = base * base
         return result
 
+    def galois(self, k: int) -> "CycNumber":
+        """sigma_k(x), the image under zeta -> zeta^k; k must be a unit mod order."""
+        if gcd(k, self.order) != 1:
+            raise ValueError(f"{k} is not a unit modulo {self.order}")
+        table = _galois_table(self.order, k % self.order)
+        return CycNumber(self.order, _map_basis(self.num, table), self.den)
+
     def conjugate(self) -> "CycNumber":
-        table = _conjugation_table(self.order)
-        deg = _degree(self.order)
-        out = [0] * deg
-        for k, c in enumerate(self.num):
-            if c:
-                row = table[k]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return CycNumber(self.order, tuple(out), self.den)
+        return self.galois(-1)
 
     def real_part(self) -> "CycNumber":
         return (self + self.conjugate()) / 2

@@ -91,7 +91,6 @@ __all__ = [
     "StateDistribution",
     "HiddenVariableModel",
     "TransitionKernel",
-    "born_rule_aggregate",
     "CliffordOp",
     "MeasureOp",
     "Circuit",
@@ -318,18 +317,9 @@ class HiddenVariableModel:
 
     def _decompose_exact(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
         cols = [v.coords for v in self.vset.vertices]
-        rows, rhs = [], []
-        for pos in range(len(target)):
-            row = [col[pos] for col in cols]
-            b = target[pos]
-            if all(x.is_zero() for x in row):
-                if not b.is_zero():
-                    return None
-                continue
-            rows.append(row)
-            rhs.append(b)
+        rows = [[col[pos] for col in cols] for pos in range(len(target))]
         rows.append([Fraction(1)] * len(cols))
-        rhs.append(Fraction(1))
+        rhs = [*target, Fraction(1)]
         sol = feasible_point(rows, rhs)
         if sol is None:
             return None
@@ -493,20 +483,14 @@ class HiddenVariableModel:
         table.fill(alpha, sums, nxt, out)
 
 
-def born_rule_aggregate(model: HiddenVariableModel, dist: StateDistribution,
-                        group: IsotropicSubgroup) -> list[tuple[ValueAssignment, object]]:
-    """Outcome distribution r -> sum_alpha p(alpha) Q_I(r | alpha).
+def _aggregate(mode: str, dist: StateDistribution, group: IsotropicSubgroup,
+               kerns: dict[int, TransitionKernel]) -> list[tuple[ValueAssignment, object]]:
+    """Outcome distribution r -> sum_alpha p(alpha) Q_I(r | alpha), over the
+    kernels kerns already looked up for dist's support.
 
     Equals Tr(Pi_I^r rho) for the state the distribution reconstructs; exact
     in exact mode.
     """
-    kerns = {a: model.kernel(a, group) for a in dist.weights}
-    return _aggregate(model.mode, dist, group, kerns)
-
-
-def _aggregate(mode: str, dist: StateDistribution, group: IsotropicSubgroup,
-               kerns: dict[int, TransitionKernel]) -> list[tuple[ValueAssignment, object]]:
-    """born_rule_aggregate over kernels already looked up for dist's support."""
     out = []
     for ri, r in enumerate(_group_assignments(group)):
         if mode == "exact":

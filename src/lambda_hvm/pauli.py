@@ -23,8 +23,8 @@ exhaustive composition/commutation checks cheap.  Dense cyclotomic matrices
 are built on demand.
 
 Clifford elements are represented by their exact unitaries; the symplectic
-action S_U and phase function on labels are *derived* by exact conjugation
-and pattern matching, never trusted from input.
+action S_U and phase function on labels are *derived*, never trusted from
+input: they are read from the Pauli coefficients of the exact conjugate.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ __all__ = [
     "CliffordElement",
     "clifford_from_matrix",
     "clifford_generators",
-    "embed_single",
-    "embed_two",
+    "embed",
 ]
 
 
@@ -216,11 +215,7 @@ def beta_mod_d(a: PhasePoint, b: PhasePoint) -> int:
 
 def phi_exponent(a: PhasePoint) -> int:
     """Exponent of mu in T_a = mu^{phi(a)} Z(a_Z) X(a_X)."""
-    d = a.d
-    ip = sum(x * y for x, y in zip(a.az, a.ax))
-    if d % 2:
-        return (-ip * ((d + 1) // 2)) % d
-    return (-ip) % (2 * d)
+    return _phi_hat(a.az, a.ax, a.d) % pauli_order(a.d)
 
 
 def omega_power(d: int, exponent: Fraction | int) -> CycNumber:
@@ -414,9 +409,10 @@ class CliffordElement:
     """A Clifford unitary with its derived label action.
 
     The conjugation table {a -> (phase, S_U(a))} with
-    U T_a U^dag = omega^{phase} T_{S_U(a)} is computed eagerly by exact
-    conjugation of every label and pattern matching against the Pauli set;
-    construction fails with NotCliffordError if any label escapes.
+    U T_a U^dag = omega^{phase} T_{S_U(a)} is computed eagerly: each label's
+    exact conjugate is read off its Pauli coefficients Tr(T_b^dag M), and
+    construction fails with NotCliffordError if any conjugate is not
+    omega^k T_b.
     """
 
     def __init__(self, d: int, n: int, unitary: CycMatrix, name: str = "U"):
@@ -433,52 +429,25 @@ class CliffordElement:
         self.phase_map: dict[PhasePoint, int] = {}
         self.symplectic_map: dict[PhasePoint, PhasePoint] = {}
         for a in phase_space(d, n):
-            phase, image = self._conjugate_dense(a)
+            phase, image = self._conjugate_label(a)
             self.phase_map[a] = phase
             self.symplectic_map[a] = image
 
-    def _conjugate_dense(self, a: PhasePoint) -> tuple[int, PhasePoint]:
-        d, n, dim = self.d, self.n, self.d ** self.n
-        mono = pauli_mono(a)
-        order = pauli_order(d)
-        # UT = U @ T_a via column operations, then (UT) @ U^dag
-        u = self.unitary
-        ut_cols = []
-        for j in range(dim):
-            p, e = mono.perm[j], mono.exps[j]
-            ph = zeta(order, e)
-            ut_cols.append([u[i, p] * ph for i in range(dim)])
-        ut = CycMatrix(list(map(list, zip(*ut_cols))))
-        m = ut @ self._udag
-        # the result must be omega^k T_b for a unique b: read b off the support
-        col0 = [m[i, 0] for i in range(dim)]
-        rows0 = [i for i, v in enumerate(col0) if not v.is_zero()]
-        if len(rows0) != 1:
+    def _conjugate_label(self, a: PhasePoint) -> tuple[int, PhasePoint]:
+        # The T_b are an orthogonal basis, Tr(T_b^dag T_c) = d^n [b = c], so
+        # M = omega^k T_b exactly when the first nonzero coefficient
+        # Tr(T_b^dag M) is d^n omega^k and M equals omega^k T_b.  M is
+        # unitary, so some coefficient is nonzero.
+        d, dim = self.d, self.d ** self.n
+        m = self.unitary @ pauli_matrix(a) @ self._udag
+        for b in phase_space(d, self.n):
+            coeff = pauli_mono(b).dagger().trace_with(m)
+            if not coeff.is_zero():
+                break
+        k = next((k for k in range(d) if coeff == dim * omega_power(d, k)), None)
+        if k is None or m != pauli_matrix(b).scale(omega_power(d, k)):
             raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
-        bx = _digits(rows0[0], d, n)
-        bz = []
-        for site in range(n):
-            e_s = [0] * n
-            e_s[site] = 1
-            col = _index(tuple(e_s), d)
-            row = _index(tuple((v + x) % d for v, x in zip(e_s, bx)), d)
-            val = m[row, col]
-            if val.is_zero():
-                raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
-            ratio = val / col0[rows0[0]]
-            for t in range(d):
-                if ratio == omega_power(d, t):
-                    bz.append(t)
-                    break
-            else:
-                raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
-        b = PhasePoint(d, n, tuple(bz), bx)
-        ref = pauli_matrix(b)
-        ratio = col0[rows0[0]] / ref[rows0[0], 0]
-        k = next((k for k in range(d) if ratio == omega_power(d, k)), None)
-        if k is not None and m == ref.scale(ratio):
-            return k, b
-        raise NotCliffordError(f"{self.name}: conjugate of {a.serialize()} is not a Pauli")
+        return k, b
 
     # -- public API -----------------------------------------------------------
 
@@ -546,40 +515,24 @@ def _sum_gate_matrix(d: int) -> CycMatrix:
     return CycMatrix(rows)
 
 
-def embed_single(gate: CycMatrix, d: int, n: int, site: int) -> CycMatrix:
-    """Embed a single-qudit gate at the given site of an n-qudit register."""
+def embed(gate: CycMatrix, d: int, n: int, sites: Sequence[int]) -> CycMatrix:
+    """Embed a gate on len(sites) qudits, acting on the given sites in that
+    order (the first site is the most significant digit), into an n-qudit
+    register."""
     dim = d ** n
     zero = CycNumber.zero()
     rows = [[zero] * dim for _ in range(dim)]
     for idx_in in range(dim):
         digits_in = _digits(idx_in, d, n)
-        for out_val in range(d):
-            amp = gate[out_val, digits_in[site]]
+        col = _index([digits_in[site] for site in sites], d)
+        for out in range(gate.rows):
+            amp = gate[out, col]
             if amp.is_zero():
                 continue
             digits_out = list(digits_in)
-            digits_out[site] = out_val
+            for site, v in zip(sites, _digits(out, d, len(sites))):
+                digits_out[site] = v
             rows[_index(digits_out, d)][idx_in] = amp
-    return CycMatrix(rows)
-
-
-def embed_two(gate: CycMatrix, d: int, n: int, site_a: int, site_b: int) -> CycMatrix:
-    """Embed a two-qudit gate acting on (site_a, site_b)."""
-    dim = d ** n
-    zero = CycNumber.zero()
-    rows = [[zero] * dim for _ in range(dim)]
-    for idx_in in range(dim):
-        digits_in = _digits(idx_in, d, n)
-        col = digits_in[site_a] * d + digits_in[site_b]
-        for va in range(d):
-            for vb in range(d):
-                amp = gate[va * d + vb, col]
-                if amp.is_zero():
-                    continue
-                digits_out = list(digits_in)
-                digits_out[site_a] = va
-                digits_out[site_b] = vb
-                rows[_index(digits_out, d)][idx_in] = amp
     return CycMatrix(rows)
 
 
@@ -596,14 +549,14 @@ def clifford_generators(d: int, n: int) -> list[CliffordElement]:
     xz = [("X", pauli_matrix(PhasePoint.unit_x(d, 1))), ("Z", pauli_matrix(PhasePoint.unit_z(d, 1)))]
     units = [u for u in range(2, d) if gcd(u, d) == 1]
     for site in range(n):
-        gates.append(CliffordElement(d, n, embed_single(f, d, n, site), name=f"F{site}"))
-        gates.append(CliffordElement(d, n, embed_single(s, d, n, site), name=f"S{site}"))
+        gates.append(CliffordElement(d, n, embed(f, d, n, [site]), name=f"F{site}"))
+        gates.append(CliffordElement(d, n, embed(s, d, n, [site]), name=f"S{site}"))
         for label, mat in xz:
-            gates.append(CliffordElement(d, n, embed_single(mat, d, n, site), name=f"{label}{site}"))
+            gates.append(CliffordElement(d, n, embed(mat, d, n, [site]), name=f"{label}{site}"))
         for u in units:
-            gates.append(CliffordElement(d, n, embed_single(_multiplier_matrix(d, u), d, n, site),
+            gates.append(CliffordElement(d, n, embed(_multiplier_matrix(d, u), d, n, [site]),
                                          name=f"M{u}_{site}"))
     for site in range(n - 1):
-        gates.append(CliffordElement(d, n, embed_two(_sum_gate_matrix(d), d, n, site, site + 1),
+        gates.append(CliffordElement(d, n, embed(_sum_gate_matrix(d), d, n, [site, site + 1]),
                                      name=f"SUM{site}{site + 1}"))
     return gates

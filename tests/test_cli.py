@@ -45,6 +45,34 @@ def test_parse_circuit_errors():
                                   "ops": [{"clifford": {"matrix": t_gate}}]}))
 
 
+ZERO_STATE = {"preset": "zero"}
+MALFORMED_CIRCUITS = {
+    "d-null": ({"d": None, "n": 1, "state": ZERO_STATE, "ops": []},
+               "circuit field 'd' must be an integer, got None"),
+    "ops-not-a-list": ({"d": 2, "n": 1, "state": ZERO_STATE, "ops": 5},
+                       "circuit field 'ops' must be a list, got 5"),
+    "measure-body-string": ({"d": 2, "n": 1, "state": ZERO_STATE,
+                             "ops": [{"measure": "Z:(1)|X:(0)"}]},
+                            "ops[0]: a measure op is {'measure': {'a': LABEL}}"),
+    "matrix-entry-list": ({"d": 2, "n": 1, "state": {"matrix": [[[1], 0], [0, 0]]}, "ops": []},
+                          "bad matrix entry: [1] is neither a number nor a cyclotomic literal"),
+    "top-level-list": (["d", "n", "state", "ops"], "circuit must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CIRCUITS))
+def test_malformed_circuit_is_a_usage_error(tmp_path, capsys, case):
+    """A JSON value of the wrong type exits 2 with one error line, not a
+    traceback with the verification-failure code."""
+    doc, reason = MALFORMED_CIRCUITS[case]
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "simulate", "-d", "2", "-n", "1", str(circ), "--shots", "5")
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {reason}\n"
+
+
 def test_vertices_command(tmp_path, capsys):
     out = tmp_path / "v.txt"
     code, stdout, _ = run(capsys, "vertices", "-d", "2", "-n", "1", "--out", str(out))

@@ -1,13 +1,16 @@
 """Exact arithmetic: field operations, conjugation, intervals, serialization."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_hvm.cyclotomic import CycNumber, rational, sqrt_int, zeta
+from lambda_hvm.cyclotomic import CycNumber, cyclotomic_polynomial, rational, sqrt_int, zeta
 from lambda_hvm.linalg import CycMatrix, exact_rank
+from tests_support import (reference_conjugate, reference_cyclotomic_polynomial,
+                           reference_inverse)
 
 
 def test_root_of_unity_products():
@@ -75,6 +78,49 @@ def test_imag_part_is_the_canonical_quotient(a):
     got = a.imag_part()
     want = (a - a.conjugate()) / (2 * zeta(4))
     assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
+INVERSE_ORDERS = (3, 4, 5, 7, 8, 9, 12, 15, 16, 24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyc_numbers(orders=INVERSE_ORDERS))
+def test_inverse_equals_the_euclid_inverse(a):
+    """1/x by the Galois norm has the same canonical form as the extended
+    Euclid inverse, and is an inverse."""
+    if a.is_zero():
+        return
+    got, want = a.inverse(), reference_inverse(a)
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+    assert a * got == 1
+
+
+def _units(order):
+    return [k for k in range(1, order) if gcd(k, order) == 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyc_numbers(orders=INVERSE_ORDERS), cyc_numbers(orders=INVERSE_ORDERS), st.data())
+def test_galois_maps_are_ring_maps(a, b, data):
+    a, b = a.promoted(lcm(a.order, b.order)), b.promoted(lcm(a.order, b.order))
+    k = data.draw(st.sampled_from(_units(a.order)))
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert CycNumber.one(a.order).galois(k) == 1
+    conj, want = a.galois(-1), reference_conjugate(a)
+    assert (conj.order, conj.num, conj.den) == (want.order, want.num, want.den)
+    assert conj == a.conjugate()
+
+
+def test_galois_needs_a_unit():
+    with pytest.raises(ValueError, match="not a unit"):
+        zeta(12).galois(3)
+    assert zeta(12).galois(5) == zeta(12, 5)
+
+
+def test_cyclotomic_polynomials_equal_the_fraction_division():
+    for n in range(1, 61):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
 
 
 def test_sign_decision():

@@ -10,13 +10,15 @@ from lambda_hvm.cyclotomic import CycNumber, zeta
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import (CliffordElement, NotCliffordError, PhasePoint,
                               beta, beta_mod_d, clifford_from_matrix,
-                              clifford_generators, compose_check, omega_power,
+                              clifford_generators, compose_check, embed, omega_power,
                               pauli_matrix, pauli_mono, pauli_order, pauli_sum,
                               phase_space, symplectic_product)
-from lambda_hvm.pauli import _fourier_matrix
+from lambda_hvm.pauli import (_fourier_matrix, _multiplier_matrix, _phase_gate_matrix,
+                              _sum_gate_matrix)
 from lambda_hvm.polytope import coord_order
 from lambda_hvm.stabilizer import enumerate_isotropics, value_assignments
-from tests_support import random_full_matrix
+from tests_support import (random_full_matrix, reference_clifford_tables,
+                           reference_embed_single, reference_embed_two)
 
 SHARED_SYSTEMS = [(2, 1), (3, 1), (4, 1), (2, 2)]
 
@@ -170,6 +172,50 @@ def test_generators_validated(d, n):
             a, b = rng.choice(points), rng.choice(points)
             assert symplectic_product(g.symplectic_map[a], g.symplectic_map[b]) == \
                 symplectic_product(a, b)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)])
+def test_clifford_tables_equal_the_matching_search(d, n):
+    """The Pauli-coefficient readout gives the phase and symplectic maps the
+    support-and-ratio search gave, for every generator, its product with the
+    next generator and its inverse."""
+    gens = clifford_generators(d, n)
+    for g, nxt in zip(gens, gens[1:] + gens[:1]):
+        for elem in (g, g.compose(nxt), g.inverse()):
+            phases, images = reference_clifford_tables(d, n, elem.unitary, elem.name)
+            assert elem.phase_map == phases, elem.name
+            assert elem.symplectic_map == images, elem.name
+
+
+@pytest.mark.parametrize("d,gate", [
+    (2, CycMatrix([[1, 0], [0, zeta(8)]])),
+    (3, CycMatrix([[1, 0, 0], [0, zeta(9), 0], [0, 0, 1]])),
+])
+def test_non_cliffords_raise_the_matching_search_message(d, gate):
+    with pytest.raises(NotCliffordError) as want:
+        reference_clifford_tables(d, 1, gate, "G")
+    with pytest.raises(NotCliffordError) as got:
+        CliffordElement(d, 1, gate, name="G")
+    assert str(got.value) == str(want.value)
+    assert "is not a Pauli" in str(got.value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_embed_equals_the_single_and_two_site_embeddings(d):
+    """embed places the gates of clifford_generators(d, 2) as the separate
+    single- and two-site loops did, entry for entry."""
+    n = 2
+    singles = [_fourier_matrix(d), _phase_gate_matrix(d),
+               pauli_matrix(PhasePoint.unit_x(d, 1)), pauli_matrix(PhasePoint.unit_z(d, 1))]
+    singles += [_multiplier_matrix(d, u) for u in range(2, d)]
+    for gate in singles:
+        for site in range(n):
+            assert embed(gate, d, n, [site]).serialize_rows() == \
+                reference_embed_single(gate, d, n, site).serialize_rows()
+    sum_gate = _sum_gate_matrix(d)
+    for sites in ([0, 1], [1, 0]):
+        assert embed(sum_gate, d, n, sites).serialize_rows() == \
+            reference_embed_two(sum_gate, d, n, *sites).serialize_rows()
 
 
 def test_clifford_composition_consistency():

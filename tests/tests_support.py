@@ -2,16 +2,18 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
 
-from lambda_hvm.cyclotomic import CycNumber, zeta
+from lambda_hvm.cyclotomic import CycNumber, cyclotomic_polynomial, zeta
 from lambda_hvm.exact_lp import feasible_point
 from lambda_hvm.hvm import (CliffordOp, OracleBranch, ShotRecord, VertexSetIncomplete,
                             trace_with_projector)
 from lambda_hvm.linalg import CycMatrix, exact_rank, exact_solve
-from lambda_hvm.pauli import pauli_mono, pauli_order
+from lambda_hvm.pauli import (NotCliffordError, PhasePoint, omega_power, pauli_matrix,
+                              pauli_mono, pauli_order, phase_space)
 from lambda_hvm.polytope import (VertexCertificate, VertexRejection, _projected_rows,
                                  _vertices_from_coord_list, additive_assignments,
                                  membership, operator_coords, wigner_operator)
@@ -398,3 +400,183 @@ def random_full_matrix(dim, order, rng):
     z = zeta(order)
     return CycMatrix([[CycNumber.from_rational(Fraction(rng.randint(1, 3), rng.randint(1, 2)), order)
                        + z * rng.randint(1, 3) for _ in range(dim)] for _ in range(dim)])
+
+
+# ---------------------------------------------------------------------------
+# the searches that the Galois norm and the Pauli-coefficient readout replaced
+
+
+def _reference_poly_divmod(num, den):
+    num = list(num)
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    inv_lead = 1 / den[-1]
+    for k in range(len(out) - 1, -1, -1):
+        coef = num[k + len(den) - 1] * inv_lead
+        out[k] = coef
+        if coef:
+            for j, c in enumerate(den):
+                num[k + j] -= coef * c
+    return out, num[: len(den) - 1]
+
+
+def _reference_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def reference_cyclotomic_polynomial(n):
+    """Phi_n as (x^n - 1) divided by the product of Phi_d over the proper
+    divisors d, in Fraction polynomials, with the remainder checked."""
+    if n == 1:
+        return (-1, 1)
+    num = [Fraction(0)] * (n + 1)
+    num[0], num[n] = Fraction(-1), Fraction(1)
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _reference_poly_mul(den, [Fraction(c) for c in reference_cyclotomic_polynomial(d)])
+    quot, rem = _reference_poly_divmod(num, den)
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        raise AssertionError(f"Phi_{n} is not an exact integer quotient")
+    return tuple(int(c) for c in quot)
+
+
+def reference_inverse(x):
+    """1/x by the extended Euclid loop in Q[t] against Phi_order."""
+    if x.is_rational():
+        return CycNumber.from_rational(1 / x.as_fraction(), x.order)
+    deg = len(x.num)
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(x.order)]
+    r1 = [Fraction(c, x.den) for c in x.num]
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) == 1:
+            inv_c = 1 / r1[0]
+            coeffs = [c * inv_c for c in s1]
+            coeffs += [Fraction(0)] * (deg - len(coeffs))
+            den = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
+            return CycNumber(x.order, tuple(int(c * den) for c in coeffs[:deg]), den)
+        q, rem = _reference_poly_divmod(r0, r1)
+        s_new = list(s0)
+        s_new += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s_new))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, sc in enumerate(s1):
+                    s_new[i + j] -= qc * sc
+        r0, r1 = r1, rem
+        s0, s1 = s1, s_new
+
+
+def reference_conjugate(x):
+    """Complex conjugation through the table of zeta^{-k} images."""
+    order, deg = x.order, len(x.num)
+    tab = [zeta(order, (-k) % order).num for k in range(deg)]
+    out = [0] * deg
+    for k, c in enumerate(x.num):
+        if c:
+            for i in range(deg):
+                out[i] += c * tab[k][i]
+    return CycNumber(order, tuple(out), x.den)
+
+
+def _digits(idx, d, n):
+    return tuple((idx // d ** (n - 1 - k)) % d for k in range(n))
+
+
+def _index(digits, d):
+    idx = 0
+    for v in digits:
+        idx = idx * d + v
+    return idx
+
+
+def reference_conjugate_dense(elem, a):
+    """(phase, image) of U T_a U^dag found by matching: the column-0 support
+    gives the X part, per-site ratios the Z part, and a dense comparison
+    confirms; raises NotCliffordError like the old CliffordElement did."""
+    d, n, dim = elem.d, elem.n, elem.d ** elem.n
+    mono = pauli_mono(a)
+    order = pauli_order(d)
+    u = elem.unitary
+    ut_cols = []
+    for j in range(dim):
+        p, e = mono.perm[j], mono.exps[j]
+        ph = zeta(order, e)
+        ut_cols.append([u[i, p] * ph for i in range(dim)])
+    ut = CycMatrix(list(map(list, zip(*ut_cols))))
+    m = ut @ elem.unitary.dagger()
+    fail = NotCliffordError(f"{elem.name}: conjugate of {a.serialize()} is not a Pauli")
+    col0 = [m[i, 0] for i in range(dim)]
+    rows0 = [i for i, v in enumerate(col0) if not v.is_zero()]
+    if len(rows0) != 1:
+        raise fail
+    bx = _digits(rows0[0], d, n)
+    bz = []
+    for site in range(n):
+        e_s = [0] * n
+        e_s[site] = 1
+        val = m[_index(tuple((v + x) % d for v, x in zip(e_s, bx)), d), _index(e_s, d)]
+        if val.is_zero():
+            raise fail
+        ratio = val / col0[rows0[0]]
+        t = next((t for t in range(d) if ratio == omega_power(d, t)), None)
+        if t is None:
+            raise fail
+        bz.append(t)
+    b = PhasePoint(d, n, tuple(bz), bx)
+    ref = pauli_matrix(b)
+    ratio = col0[rows0[0]] / ref[rows0[0], 0]
+    k = next((k for k in range(d) if ratio == omega_power(d, k)), None)
+    if k is not None and m == ref.scale(ratio):
+        return k, b
+    raise fail
+
+
+def reference_clifford_tables(d, n, unitary, name="U"):
+    """The (phase_map, symplectic_map) the old CliffordElement built."""
+    elem = SimpleNamespace(d=d, n=n, unitary=unitary, name=name)
+    phases, images = {}, {}
+    for a in phase_space(d, n):
+        phases[a], images[a] = reference_conjugate_dense(elem, a)
+    return phases, images
+
+
+def reference_embed_single(gate, d, n, site):
+    dim = d ** n
+    zero = CycNumber.zero()
+    rows = [[zero] * dim for _ in range(dim)]
+    for idx_in in range(dim):
+        digits_in = _digits(idx_in, d, n)
+        for out_val in range(d):
+            amp = gate[out_val, digits_in[site]]
+            if amp.is_zero():
+                continue
+            digits_out = list(digits_in)
+            digits_out[site] = out_val
+            rows[_index(digits_out, d)][idx_in] = amp
+    return CycMatrix(rows)
+
+
+def reference_embed_two(gate, d, n, site_a, site_b):
+    dim = d ** n
+    zero = CycNumber.zero()
+    rows = [[zero] * dim for _ in range(dim)]
+    for idx_in in range(dim):
+        digits_in = _digits(idx_in, d, n)
+        col = digits_in[site_a] * d + digits_in[site_b]
+        for va in range(d):
+            for vb in range(d):
+                amp = gate[va * d + vb, col]
+                if amp.is_zero():
+                    continue
+                digits_out = list(digits_in)
+                digits_out[site_a] = va
+                digits_out[site_b] = vb
+                rows[_index(digits_out, d)][idx_in] = amp
+    return CycMatrix(rows)
