@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .cyclotomic import CycNumber
 from .hvm import (Circuit, CliffordOp, DecompositionInfeasible, MeasureOp,
-                  HiddenVariableModel, chi_square, oracle_distribution,
-                  run_shots)
+                  HiddenVariableModel, VertexSetIncomplete, chi_square,
+                  oracle_distribution, run_shots)
 from .linalg import CycMatrix
 from .pauli import CliffordElement, NotCliffordError, PhasePoint, clifford_generators
 from .polytope import (detect_cnc_form, enumerate_vertices, lambda_hrep,
@@ -170,7 +170,7 @@ def clifford_orbits(vset, gens=None):
     if gens is None:
         gens = clifford_generators(vset.d, vset.n)
     model = HiddenVariableModel(vset, mode="exact")
-    perms = [model.clifford_permutation(g) for g in gens]
+    perms = [model.clifford_permutation(g).tolist() for g in gens]
     seen: set[int] = set()
     orbits = []
     cnc_flags = []
@@ -358,6 +358,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except DecompositionInfeasible as exc:
         return _fail(EXIT_INFEASIBLE, str(exc))
+    except VertexSetIncomplete as exc:
+        return _fail(EXIT_USAGE, f"vertex set is incomplete: {exc}")
     except (ValueError, OSError) as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclotomic import CycNumber
 from .linalg import dot as exact_dot, row_reduce
@@ -64,8 +64,7 @@ def _cyc_normalize(vec: list[CycNumber]) -> tuple[CycNumber, ...]:
     return tuple(vec)
 
 
-def extreme_rays(facets: Sequence[Sequence], dim: int,
-                 progress: Optional[callable] = None) -> list[DDRay]:
+def extreme_rays(facets: Sequence[Sequence], dim: int) -> list[DDRay]:
     """Extreme rays of the pointed cone {x in R^dim : facet . x >= 0 for all}.
 
     Rays are normalized (primitive integer vector, or leading positive
@@ -109,7 +108,7 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
         rays.append(DDRay(tuple(r), mask))
 
     remaining = [i for i in range(nf) if i not in set(chosen)]
-    for step, fi in enumerate(remaining):
+    for fi in remaining:
         row = rows[fi]
         pos, zero, neg = [], [], []
         values = {}
@@ -122,8 +121,6 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
             ray.mask |= 1 << fi
         if not neg:
             rays = pos + zero
-            if progress:
-                progress(step, len(remaining), len(rays))
             continue
         keep = pos + zero
         min_bits = dim - 2
@@ -147,8 +144,6 @@ def extreme_rays(facets: Sequence[Sequence], dim: int,
                 coords = combine(values[id(rp)], values[id(rn)], rp.coords, rn.coords)
                 new_rays.append(DDRay(coords, common | (1 << fi)))
         rays = keep + new_rays
-        if progress:
-            progress(step, len(remaining), len(rays))
     return rays
 
 

@@ -35,20 +35,20 @@ Sampling runs all shots of a run at once on stream version 2:
 1 + measurements)) in row-major order, and row k drives shot k, column 0
 choosing the input vertex and column j the j-th measurement.  Record k
 depends only on row k, so a longer run starts with the records of a shorter
-one; earlier stream versions gave other records.  The shots then advance op
-by op on a plan the model compiles once per circuit: a Clifford op becomes
-its vertex permutation as an index array, and a measurement its point's
-table, padded arrays indexed by vertex that hold the running float sums of
-the kernel's weights in sorted (beta, r_index) order without the total
-(padded with +inf), the next vertex and the outcome of each item, and a mask
-of the rows filled.  Rows are filled from the kernel when a shot first
-reaches their vertex, so cold models work.  A draw u takes the item at the
-count of running sums <= u: the first whose sum exceeds u, the last if none
-does, exactly as bisect_right on the same sums; the sums are added in the
-order the kernel entries sort, so records are byte-identical to a loop that
-accumulates the weights one by one.  The model's `stats` count kernel,
-permutation and decomposition cache hits and misses, plan builds, table rows
-filled and shots run, once per call and never per shot.
+one; earlier stream versions gave other records.  The shots then walk the
+circuit's ops together, reading only the model's own caches: a Clifford op
+indexes its vertex permutation array, and a measurement its point's table,
+padded arrays indexed by vertex that hold the running float sums of the
+kernel's weights in sorted (beta, r_index) order without the total (padded
+with +inf), the next vertex and the outcome of each item, and a mask of the
+rows filled.  Rows are filled from the kernel when a shot first reaches their
+vertex, so cold models work.  A draw u takes the item at the count of running
+sums <= u: the first whose sum exceeds u, the last if none does, exactly as
+bisect_right on the same sums; the sums are added in the order the kernel
+entries sort, so records are byte-identical to a loop that accumulates the
+weights one by one.  The model's `stats` count kernel, permutation and
+decomposition cache hits and misses, table rows filled and shots run, once
+per call and never per shot.
 
 The oracle evaluates the Born chain rule densely and exactly, branch by
 branch, but computes each op's transition only once per distinct state in a
@@ -151,14 +151,6 @@ class StateDistribution:
     weights: dict[int, object]
     mode: str
 
-    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(running float sums without the total, vertices) for searchsorted."""
-        table = getattr(self, "_table", None)
-        if table is None:
-            sums, keys = _prefix_table(sorted(self.weights.items()))
-            table = self._table = (np.array(sums, dtype=float), np.array(keys, dtype=np.intp))
-        return table
-
     def reconstruct(self) -> CycMatrix:
         acc = None
         for alpha, w in sorted(self.weights.items()):
@@ -167,11 +159,8 @@ class StateDistribution:
         return acc
 
     def reconstruct_complex(self) -> np.ndarray:
-        dim = self.vset.d ** self.vset.n
-        acc = np.zeros((dim, dim), dtype=complex)
-        for alpha, w in self.weights.items():
-            acc += float(w) * _vertex_complex(self.vset, alpha)
-        return acc
+        coeffs = [float(w) for w in self.weights.values()]
+        return np.tensordot(coeffs, self.vset.complex_matrices[list(self.weights)], axes=1)
 
 
 def _prefix_table(items: Iterable[tuple[object, object]]) -> tuple[list[float], list]:
@@ -184,18 +173,6 @@ def _prefix_table(items: Iterable[tuple[object, object]]) -> tuple[list[float], 
     """
     keys, weights = zip(*items)
     return list(accumulate(map(float, weights)))[:-1], list(keys)
-
-
-def _vertex_complex(vset: VertexSet, alpha: int) -> np.ndarray:
-    cache = getattr(vset, "_complex_cache", None)
-    if cache is None:
-        cache = {}
-        vset._complex_cache = cache
-    mat = cache.get(alpha)
-    if mat is None:
-        mat = vset[alpha].matrix.to_complex()
-        cache[alpha] = mat
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +203,7 @@ class TransitionKernel:
 
 
 STAT_NAMES = ("kernel_hits", "kernel_misses", "perm_hits", "perm_misses",
-              "decompose_hits", "decompose_misses", "plan_builds", "plan_fills",
-              "shots")
+              "decompose_hits", "decompose_misses", "table_fills", "shots")
 
 
 class _PointTable:
@@ -256,12 +232,13 @@ class _PointTable:
 
 
 class HiddenVariableModel:
-    """Vertex set plus memoized kernels, Clifford vertex permutations and
-    compiled sampling plans.
+    """Vertex set plus memoized decompositions, kernels, Clifford vertex
+    permutations (one array per element) and the sampling table of each
+    measured point.
 
     `stats` maps each name in STAT_NAMES to a count: cache hits and misses
-    of `kernel`, `clifford_permutation` and `decompose`, sampling plans
-    built, plan table rows filled and shots run.
+    of `kernel`, `clifford_permutation` and `decompose`, sampling table rows
+    filled and shots run.
     """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
@@ -271,10 +248,8 @@ class HiddenVariableModel:
         self.mode = mode
         self.stats = dict.fromkeys(STAT_NAMES, 0)
         self._kernels: dict[tuple, TransitionKernel] = {}
-        self._perms: dict[int, tuple[CliffordElement, dict[int, int]]] = {}
+        self._perms: dict[CliffordElement, np.ndarray] = {}
         self._decompositions: dict[tuple, dict[int, object]] = {}
-        self._float_cols: Optional[np.ndarray] = None
-        self._plans: dict[int, tuple[Circuit, tuple]] = {}
         self._tables: dict[PhasePoint, _PointTable] = {}
 
     # -- state decomposition -------------------------------------------------
@@ -336,18 +311,10 @@ class HiddenVariableModel:
         _verify(dist.reconstruct() == rho, "exact decomposition failed to reconstruct")
         return weights
 
-    def _float_matrix(self) -> np.ndarray:
-        if self._float_cols is None:
-            cols = []
-            for v in self.vset.vertices:
-                cols.append([c.approx().real for c in v.coords])
-            self._float_cols = np.array(cols, dtype=float).T
-        return self._float_cols
-
     def _decompose_numeric(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
         from scipy.optimize import nnls
 
-        a = self._float_matrix()
+        a = self.vset.float_coords
         a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
         b_aug = np.concatenate([[c.approx().real for c in target], [1.0]])
         sol, _ = nnls(a_aug, b_aug)
@@ -364,51 +331,54 @@ class HiddenVariableModel:
 
     # -- Clifford dynamics ------------------------------------------------------
 
-    def clifford_permutation(self, u: CliffordElement) -> dict[int, int]:
-        """The vertex map alpha -> beta with U A_alpha U^dag = A_beta.
+    def clifford_permutation(self, u: CliffordElement) -> np.ndarray:
+        """The vertex map as a read-only index array: perm[alpha] = beta with
+        U A_alpha U^dag = A_beta.
 
         Acts on Pauli-coefficient labels: A = (1/D) sum_a x_a T_a and
         U T_a U^dag = omega^{k_a} T_{S(a)} give the image the coefficients
         y_{S(a)} = omega^{k_a} x_a, which are looked up in the vertex set's
         label index.  Raises VertexSetIncomplete if an image is missing or
-        the map is not a bijection.  Memoised per model on the element.
+        the map is not a bijection.  Memoised per model on the element, which
+        hashes by identity.
         """
-        entry = self._perms.get(id(u))
-        if entry is None:
-            self.stats["perm_misses"] += 1
-            slots, coefficients, index = self.vset.label_index
-            omega = [omega_power(self.vset.d, k) for k in range(self.vset.d)]
-            moves = []
-            for a in slots:
-                k, image = u.conjugate_label(a)
-                moves.append((k, slots[image]))
-            # the products repeat across vertices: memoise them on (k, x)
-            products: dict[tuple, tuple] = {}
-            mapping: dict[int, int] = {}
-            for v, xs in zip(self.vset, coefficients):
-                key: list = [None] * len(xs)
-                for (k, slot), x in zip(moves, xs):
-                    memo = (k, x.num, x.den)
-                    y = products.get(memo)
-                    if y is None:
-                        y = omega[k] * x
-                        y = products[memo] = (y.num, y.den)
-                    key[slot] = y
-                idx = index.get(tuple(key))
-                if idx is None:
-                    raise VertexSetIncomplete(
-                        f"Clifford image of vertex {v.index} not in the vertex set")
-                mapping[v.index] = idx
-            if sorted(mapping.values()) != list(range(len(self.vset))):
-                raise VertexSetIncomplete("Clifford action is not a bijection on the vertex set")
-            entry = (u, mapping)
-            self._perms[id(u)] = entry
-        else:
+        perm = self._perms.get(u)
+        if perm is not None:
             self.stats["perm_hits"] += 1
-        return entry[1]
+            return perm
+        self.stats["perm_misses"] += 1
+        slots, coefficients, index = self.vset.label_index
+        omega = [omega_power(self.vset.d, k) for k in range(self.vset.d)]
+        moves = []
+        for a in slots:
+            k, image = u.conjugate_label(a)
+            moves.append((k, slots[image]))
+        # the products repeat across vertices: memoise them on (k, x)
+        products: dict[tuple, tuple] = {}
+        images: list[int] = []
+        for v, xs in zip(self.vset, coefficients):
+            key: list = [None] * len(xs)
+            for (k, slot), x in zip(moves, xs):
+                memo = (k, x.num, x.den)
+                y = products.get(memo)
+                if y is None:
+                    y = omega[k] * x
+                    y = products[memo] = (y.num, y.den)
+                key[slot] = y
+            idx = index.get(tuple(key))
+            if idx is None:
+                raise VertexSetIncomplete(
+                    f"Clifford image of vertex {v.index} not in the vertex set")
+            images.append(idx)
+        if sorted(images) != list(range(len(self.vset))):
+            raise VertexSetIncomplete("Clifford action is not a bijection on the vertex set")
+        perm = np.array(images, dtype=np.intp)
+        perm.flags.writeable = False
+        self._perms[u] = perm
+        return perm
 
     def update(self, alpha: int, u: CliffordElement) -> int:
-        return self.clifford_permutation(u)[alpha]
+        return int(self.clifford_permutation(u)[alpha])
 
     # -- measurement kernels ------------------------------------------------------
 
@@ -444,38 +414,18 @@ class HiddenVariableModel:
         self._kernels[key] = kern
         return kern
 
-    # -- compiled sampling plans ------------------------------------------------
+    # -- sampling tables ----------------------------------------------------------
 
-    def _sampling_plan(self, circuit: Circuit) -> tuple:
-        """One (permutation array, table, point) step per op of the circuit.
-
-        Clifford steps carry the permutation, measurement steps the table of
-        their point, shared by every plan of this model.  A plan holds no
-        reference to the model, so dropping a model frees it at once rather
-        than at the next cycle collection.
-        """
-        entry = self._plans.get(id(circuit))
-        if entry is None:
-            self.stats["plan_builds"] += 1
-            steps = []
-            for op in circuit.ops:
-                if isinstance(op, CliffordOp):
-                    perm = self.clifford_permutation(op.element)
-                    steps.append((np.array([perm[a] for a in range(len(perm))], dtype=np.intp),
-                                  None, None))
-                else:
-                    table = self._tables.get(op.point)
-                    if table is None:
-                        table = self._tables[op.point] = _PointTable(len(self.vset))
-                    steps.append((None, table, op.point))
-            # Keeping the circuit keeps its id from being reused by another.
-            entry = (circuit, tuple(steps))
-            self._plans[id(circuit)] = entry
-        return entry[1]
+    def _point_table(self, point: PhasePoint) -> _PointTable:
+        """The sampling table of measuring point, shared by every circuit."""
+        table = self._tables.get(point)
+        if table is None:
+            table = self._tables[point] = _PointTable(len(self.vset))
+        return table
 
     def _fill_table(self, table: _PointTable, alpha: int, point: PhasePoint) -> None:
         """Compile the kernel at alpha for measuring point into row alpha."""
-        self.stats["plan_fills"] += 1
+        self.stats["table_fills"] += 1
         kern = self.kernel(alpha, _cyclic_group(point))
         sums, keys = _prefix_table(((beta, kern.assignments[ri](point)), w)
                                    for (beta, ri), w in sorted(kern.entries.items()))
@@ -617,17 +567,18 @@ def _sample_batch(circuit: Circuit, model: HiddenVariableModel, p_in: StateDistr
     item; table rows that a shot reaches for the first time are filled from
     the kernels before they are read.
     """
-    sums, keys = p_in._sampling_table()
-    alpha = keys[np.searchsorted(sums, draws[:, 0], side="right")]
+    sums, keys = _prefix_table(sorted(p_in.weights.items()))
+    alpha = np.array(keys, dtype=np.intp)[np.searchsorted(sums, draws[:, 0], side="right")]
     outcomes = np.empty((len(draws), draws.shape[1] - 1), dtype=np.intp)
     j = 0
-    for perm, table, point in model._sampling_plan(circuit):
-        if perm is not None:
-            alpha = perm[alpha]
+    for op in circuit.ops:
+        if isinstance(op, CliffordOp):
+            alpha = model.clifford_permutation(op.element)[alpha]
             continue
+        table = model._point_table(op.point)
         missing = alpha[~table.filled[alpha]]
         for a in np.unique(missing).tolist():
-            model._fill_table(table, a, point)
+            model._fill_table(table, a, op.point)
         pick = (table.cum[alpha] <= draws[:, j + 1, None]).sum(axis=1)
         outcomes[:, j] = table.out[alpha, pick]
         alpha = table.nxt[alpha, pick]
@@ -767,7 +718,7 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
         if isinstance(op, CliffordOp):
             rho = op.element.apply(rho)
             perm = model.clifford_permutation(op.element)
-            dist = StateDistribution(model.vset, {perm[a]: w for a, w in dist.weights.items()},
+            dist = StateDistribution(model.vset, {int(perm[a]): w for a, w in dist.weights.items()},
                                      dist.mode)
             continue
         group = op.group()

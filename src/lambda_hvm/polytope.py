@@ -25,6 +25,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .cyclotomic import CycNumber, zeta
 from .dd import extreme_rays
 from .linalg import CycMatrix, dot, exact_rank
@@ -460,6 +462,17 @@ class VertexSet:
                  for xs, v in zip(coefficients, self.vertices)}
         return slots, coefficients, index
 
+    @cached_property
+    def float_coords(self) -> np.ndarray:
+        """The vertex coordinates as floats, one column per vertex: the
+        matrix the numeric decomposition solves against."""
+        return np.array([[c.approx().real for c in v.coords] for v in self.vertices], dtype=float).T
+
+    @cached_property
+    def complex_matrices(self) -> np.ndarray:
+        """The vertex matrices as complex arrays, stacked in vertex order."""
+        return np.array([v.matrix.to_complex() for v in self.vertices])
+
 
 def _vertices_from_coord_list(hrep: LambdaHRep, coord_list: Iterable[Sequence[CycNumber]]) -> VertexSet:
     infos = []
@@ -479,9 +492,11 @@ def _vertices_from_coord_list(hrep: LambdaHRep, coord_list: Iterable[Sequence[Cy
     return VertexSet(hrep, out)
 
 
-def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
-    """Double description on the homogenization cone {Tr(F_i X) >= 0}."""
-    rays = extreme_rays(hrep.vectors, hrep.dim, progress=progress)
+def enumerate_vertices(hrep: LambdaHRep) -> VertexSet:
+    """Complete certified vertex enumeration of the polytope, by double
+    description on the homogenization cone {Tr(F_i X) >= 0}; the vertex list
+    is sorted by exact key."""
+    rays = extreme_rays(hrep.vectors, hrep.dim)
     dim = hrep.d ** hrep.n
     coord_list = []
     for ray in rays:
@@ -497,12 +512,6 @@ def _enumerate_dd(hrep: LambdaHRep, progress=None) -> VertexSet:
         inv = tr.inverse()
         coord_list.append([v * inv for v in c])
     return _vertices_from_coord_list(hrep, coord_list)
-
-
-def enumerate_vertices(hrep: LambdaHRep, progress=None) -> VertexSet:
-    """Complete certified vertex enumeration of the polytope, by double
-    description on the facet cone; the vertex list is sorted by exact key."""
-    return _enumerate_dd(hrep, progress=progress)
 
 
 # ---------------------------------------------------------------------------

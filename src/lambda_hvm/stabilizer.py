@@ -189,9 +189,6 @@ class ValueAssignment:
                 return v
         raise KeyError(p)
 
-    def domain(self) -> tuple[PhasePoint, ...]:
-        return tuple(p for p, _ in self.values)
-
     def key(self) -> tuple:
         return tuple((_point_key(p), v) for p, v in self.values)
 
@@ -302,9 +299,6 @@ class StabilizerProjector:
     @property
     def matrix(self) -> CycMatrix:
         return group_projector_matrix(self.group, self.assignment)
-
-    def rank(self) -> Fraction:
-        return Fraction(self.d ** self.n, len(self.group))
 
     def key(self) -> tuple:
         return (self.group.key(), self.assignment.key())

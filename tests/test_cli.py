@@ -135,6 +135,28 @@ def test_vertex_file_header_without_a_field_is_a_usage_error(tmp_path, capsys):
     assert err == "error: lambda-vertices file header lacks d=\n"
 
 
+@pytest.mark.parametrize("command,missing", [
+    (["vertices"], "Clifford image of vertex 6 not in the vertex set"),
+    (["simulate", "c.json", "--shots", "10"], "Clifford image of vertex 6 not in the vertex set"),
+    (["decompose", "--state", "T"], "operator is in the polytope but no decomposition was found"),
+])
+def test_incomplete_vertex_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, missing):
+    """A vertex file without one of the d=2 vertices still certifies line by
+    line; what it lacks is reported as a usage error, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "vertices", "-d", "2", "-n", "1", "--out", "v.txt")
+    header, *rows = (tmp_path / "v.txt").read_text().splitlines()
+    assert header.startswith("# lambda-vertices d=2 n=1 count=8 ")
+    del rows[6]
+    (tmp_path / "v7.txt").write_text("\n".join([header.replace("count=8", "count=7"), *rows]) + "\n")
+    (tmp_path / "c.json").write_text(json.dumps({"d": 2, "n": 1, "state": {"preset": "zero"}, "ops": [
+        {"clifford": {"gate": "F0"}}, {"measure": {"a": "Z:(1)|X:(0)"}}]}))
+    code, stdout, err = run(capsys, *command, "-d", "2", "-n", "1", "--vertices", "v7.txt")
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: vertex set is incomplete: {missing}\n"
+
+
 def test_decompose_presets(tmp_path, capsys):
     vfile = tmp_path / "v.txt"
     run(capsys, "vertices", "-d", "2", "-n", "1", "--out", str(vfile))

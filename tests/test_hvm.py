@@ -1,11 +1,13 @@
 """Hidden-variable model: decompositions, kernels, sampling, oracle agreement."""
 
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -134,11 +136,11 @@ def test_clifford_update_examples(qubit_model):
     from lambda_hvm.pauli import clifford_from_matrix
     ident_gate = clifford_from_matrix(2, 1, ident, "I")
     perm = qubit_model.clifford_permutation(ident_gate)
-    assert all(perm[a] == a for a in perm)
+    assert perm.tolist() == list(range(len(qubit_model.vset)))
     # each generator acts as a permutation
     for g in gens:
         perm = qubit_model.clifford_permutation(g)
-        assert sorted(perm.values()) == list(range(len(qubit_model.vset)))
+        assert sorted(perm.tolist()) == list(range(len(qubit_model.vset)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -147,8 +149,27 @@ def test_clifford_permutations_equal_the_dense_reference(request, d):
     model = HiddenVariableModel(vset)
     for g in clifford_generators(d, 1):
         for u in (g, g.compose(g), g.inverse()):
-            assert model.clifford_permutation(u) == reference_clifford_permutation(vset, u)
+            reference = reference_clifford_permutation(vset, u)
+            perm = model.clifford_permutation(u)
+            assert perm.tolist() == [reference[a] for a in range(len(vset))]
+            assert perm.dtype == np.intp and not perm.flags.writeable
+            assert model.clifford_permutation(u) is perm
     assert model.stats["perm_misses"] == 3 * len(clifford_generators(d, 1))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_vertex_set_numeric_views(request, d):
+    """float_coords is, bit for bit, the coordinate matrix the numeric
+    decomposition used to build per model; complex_matrices[i] is vertex i's
+    matrix as complex."""
+    vset = request.getfixturevalue({3: "qutrit_model", 4: "ququart_model"}[d]).vset
+    per_model = np.array([[c.approx().real for c in v.coords] for v in vset.vertices], dtype=float).T
+    assert vset.float_coords.shape == per_model.shape
+    assert vset.float_coords.tobytes() == per_model.tobytes()
+    assert len(vset.complex_matrices) == len(vset)
+    for v, mat in zip(vset, vset.complex_matrices):
+        expected = v.matrix.to_complex()
+        assert mat.dtype == expected.dtype and mat.tobytes() == expected.tobytes()
 
 
 def _reindexed(hrep, vertices):
@@ -159,7 +180,7 @@ def _reindexed(hrep, vertices):
 def test_clifford_permutation_of_an_incomplete_vertex_set_raises(qubit_model):
     vset = qubit_model.vset
     h = next(g for g in clifford_generators(2, 1) if g.name == "F0")
-    moved = next(a for a, b in qubit_model.clifford_permutation(h).items() if a != b)
+    moved = next(a for a, b in enumerate(qubit_model.clifford_permutation(h)) if a != b)
     cube_minus_one = _reindexed(vset.hrep, [v for v in vset if v.index != moved])
     with pytest.raises(VertexSetIncomplete, match="not in the vertex set"):
         HiddenVariableModel(cube_minus_one).clifford_permutation(h)
@@ -547,21 +568,23 @@ def test_sampling_ties_zero_weights_and_rounding_tail(qubit_model):
 
 
 def test_warm_rerun_fills_nothing(qutrit_model):
-    """A second run of the same shots makes no plan build, table fill or
-    cache call: the counters move on cache calls and once per run by its
-    shots, never per shot."""
+    """A second run of the same shots fills no table row and makes no
+    kernel or decompose call or permutation miss: it moves only the shots,
+    once per run, and the permutation hits, once per Clifford op."""
     model = HiddenVariableModel(qutrit_model.vset, mode="numeric")
     rho = preset_state("strange", 3, 1)
     circ = random_circuit(3, 1, 3, random.Random(21), clifford_generators(3, 1), rho, "strange")
     dist = model.decompose(rho)
     first = run_shots(circ, model, dist, 400, seed=4)
     stats = dict(model.stats)
-    assert stats["plan_builds"] == 1 and stats["plan_fills"] > 0
-    assert stats["kernel_hits"] + stats["kernel_misses"] == stats["plan_fills"]
+    assert stats["table_fills"] > 0
+    assert stats["kernel_hits"] + stats["kernel_misses"] == stats["table_fills"]
     assert stats["perm_misses"] == len({id(op.element) for op in circ.ops if isinstance(op, CliffordOp)})
     assert stats["decompose_misses"] >= 1 and stats["shots"] == 400
+    cliffords = sum(isinstance(op, CliffordOp) for op in circ.ops)
     assert run_shots(circ, model, dist, 400, seed=4) == first
-    assert model.stats == {**stats, "shots": stats["shots"] + 400}
+    assert model.stats == {**stats, "shots": stats["shots"] + 400,
+                           "perm_hits": stats["perm_hits"] + cliffords}
     stats = dict(model.stats)
     model.decompose(rho)
     assert model.stats == {**stats, "decompose_hits": stats["decompose_hits"] + 1}
@@ -569,6 +592,19 @@ def test_warm_rerun_fills_nothing(qutrit_model):
     stats = dict(model.stats)
     model.kernel(0, circ.ops[1].group())
     assert model.stats == {**stats, "kernel_hits": stats["kernel_hits"] + 1}
+
+
+def test_sampled_circuit_is_not_retained(qutrit_model):
+    """The model keeps its kernels, permutations and tables, but no
+    reference to a circuit it sampled."""
+    model = HiddenVariableModel(qutrit_model.vset, mode="numeric")
+    rho = preset_state("strange", 3, 1)
+    circ = random_circuit(3, 1, 3, random.Random(22), clifford_generators(3, 1), rho, "strange")
+    ref = weakref.ref(circ)
+    run_shots(circ, model, model.decompose(rho), 50, seed=1)
+    del circ
+    gc.collect()
+    assert ref() is None
 
 
 CORRUPTED_MODEL_SCRIPT = textwrap.dedent("""

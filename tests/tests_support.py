@@ -57,7 +57,7 @@ def reference_sample(rng, items):
 
 def reference_simulate_run(circuit, model, p_in, rng, seed):
     """The op-by-op shot loop over cached kernels and permutations that the
-    compiled sampling plans replaced, kept to compare them against."""
+    batched sampler replaced, kept to compare it against."""
     alpha = reference_sample(rng, [(a, float(w)) for a, w in sorted(p_in.weights.items())])
     outcomes = []
     for op in circuit.ops:
