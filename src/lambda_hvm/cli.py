@@ -15,13 +15,15 @@ import sys
 from fractions import Fraction
 
 from .cyclotomic import CycNumber
+from .exact_lp import stats as lp_stats
 from .hvm import (Circuit, CliffordOp, DecompositionInfeasible, MeasureOp,
                   HiddenVariableModel, VertexSetIncomplete, chi_square,
-                  oracle_distribution, run_shots)
+                  oracle_distribution, oracle_stats, run_shots)
 from .linalg import CycMatrix
 from .pauli import CliffordElement, NotCliffordError, PhasePoint, clifford_generators
 from .polytope import (detect_cnc_form, enumerate_vertices, lambda_hrep,
                        load_vertex_file, save_vertex_file)
+from .polytope import stats as polytope_stats
 from .presets import preset_state
 from .checks import SUITES, run_suite
 
@@ -249,9 +251,18 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _library_counters() -> dict[str, dict[str, int]]:
+    """Copies of the process-wide counters of the LP, the vertex
+    certificates and the oracle; `simulate --stats` reports what the
+    command added to them, so earlier calls in the process do not count."""
+    return {"exact_lp": dict(lp_stats), "polytope": dict(polytope_stats),
+            "oracle": dict(oracle_stats)}
+
+
 def cmd_simulate(args) -> int:
     if args.shots < 1:
         raise UsageError(f"--shots must be >= 1, got {args.shots}")
+    start = _library_counters()
     with open(args.circuit) as fh:
         circuit = parse_circuit(fh.read())
     if (circuit.d, circuit.n) != (args.d, args.n):
@@ -276,18 +287,21 @@ def cmd_simulate(args) -> int:
                "out": args.out, "comparison": []}
     if circuit.measurement_count() == 0:
         summary["note"] = "circuit has no measurements; empty outcome records"
-        print(json.dumps(summary, sort_keys=True, indent=2))
-        return EXIT_OK
-    probs = oracle_distribution(circuit)
-    for outcome in sorted(set(probs) | set(counts)):
-        summary["comparison"].append({
-            "outcome": list(outcome),
-            "oracle": probs.get(outcome, 0.0),
-            "frequency": counts.get(outcome, 0) / args.shots,
-        })
-    stat, pval = chi_square(counts, probs, args.shots)
-    summary["chi_square"] = stat
-    summary["p_value"] = pval
+    else:
+        probs = oracle_distribution(circuit)
+        for outcome in sorted(set(probs) | set(counts)):
+            summary["comparison"].append({
+                "outcome": list(outcome),
+                "oracle": probs.get(outcome, 0.0),
+                "frequency": counts.get(outcome, 0) / args.shots,
+            })
+        stat, pval = chi_square(counts, probs, args.shots)
+        summary["chi_square"] = stat
+        summary["p_value"] = pval
+    if args.stats:
+        summary["stats"] = {"model": dict(model.stats)}
+        for name, now in _library_counters().items():
+            summary["stats"][name] = {key: value - start[name][key] for key, value in now.items()}
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -340,6 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("circuit", help="circuit JSON file")
     p_sim.add_argument("--shots", type=int, default=10000)
+    p_sim.add_argument("--stats", action="store_true",
+                       help="add the model's cache counters and the LP, certificate and "
+                            "oracle counts of this command to the JSON summary")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

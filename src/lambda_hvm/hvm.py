@@ -46,9 +46,13 @@ vertex, so cold models work.  A draw u takes the item at the count of running
 sums <= u: the first whose sum exceeds u, the last if none does, exactly as
 bisect_right on the same sums; the sums are added in the order the kernel
 entries sort, so records are byte-identical to a loop that accumulates the
-weights one by one.  The model's `stats` count kernel, permutation and
-decomposition cache hits and misses, table rows filled and shots run, once
-per call and never per shot.
+weights one by one.  The records are built last and allocate little: shots
+whose outcome rows are equal share one tuple object, found by a byte view of
+the rows (no limit on d or the number of measurements), and a ShotRecord is
+a NamedTuple, so it also compares equal to the plain tuple of its fields.
+The model's `stats` count kernel, permutation and decomposition cache hits
+and misses, table rows filled and shots run, once per call and never per
+shot.
 
 The oracle evaluates the Born chain rule densely and exactly, branch by
 branch, but computes each op's transition only once per distinct state in a
@@ -69,7 +73,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -383,6 +387,7 @@ class HiddenVariableModel:
     # -- measurement kernels ------------------------------------------------------
 
     def kernel(self, alpha: int, group: IsotropicSubgroup) -> TransitionKernel:
+        alpha = int(alpha)      # a numpy integer index is stored as a Python int
         key = (group.key(), alpha)
         kern = self._kernels.get(key)
         if kern is not None:
@@ -526,8 +531,14 @@ def random_circuit(d: int, n: int, depth: int, rng: random.Random,
 # the sampling simulator
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(NamedTuple):
+    """One shot: its index in the run, its outcomes in measurement order
+    and its final vertex, all Python ints.
+
+    A NamedTuple, so a record also equals the plain tuple (shot, outcomes,
+    final_vertex); the shots of a run with equal outcomes share one tuple.
+    """
+
     shot: int
     outcomes: tuple[int, ...]
     final_vertex: int
@@ -565,7 +576,8 @@ def _sample_batch(circuit: Circuit, model: HiddenVariableModel, p_in: StateDistr
 
     Column 0 picks the input vertex and column j the j-th measurement's
     item; table rows that a shot reaches for the first time are filled from
-    the kernels before they are read.
+    the kernels before they are read.  The records are built in one pass,
+    with one outcome tuple per distinct row (`_shared_rows`).
     """
     sums, keys = _prefix_table(sorted(p_in.weights.items()))
     alpha = np.array(keys, dtype=np.intp)[np.searchsorted(sums, draws[:, 0], side="right")]
@@ -583,7 +595,25 @@ def _sample_batch(circuit: Circuit, model: HiddenVariableModel, p_in: StateDistr
         outcomes[:, j] = table.out[alpha, pick]
         alpha = table.nxt[alpha, pick]
         j += 1
-    return list(map(ShotRecord, range(len(draws)), map(tuple, outcomes.tolist()), alpha.tolist()))
+    return list(map(ShotRecord._make, zip(range(len(draws)), _shared_rows(outcomes), alpha.tolist())))
+
+
+def _shared_rows(outcomes: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of an integer matrix as tuples of Python ints, equal rows
+    sharing one tuple object.
+
+    Rows are compared as bytes (one void item per row), so any number of
+    columns and any entry range works, where a mixed-radix integer code
+    would overflow once d^m reaches 2^63.
+    """
+    count, width = outcomes.shape
+    if width == 0:
+        return [()] * count
+    rows = np.ascontiguousarray(outcomes)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = list(map(tuple, rows[first].tolist()))
+    return list(map(distinct.__getitem__, inverse.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

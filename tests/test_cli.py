@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lambda_hvm.cli import main, parse_circuit
+from lambda_hvm.hvm import STAT_NAMES
 
 
 CIRCUIT_T = json.dumps({
@@ -264,6 +265,31 @@ def test_simulate_empty_circuit(tmp_path, capsys):
     assert "no measurements" in doc["note"]
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 11  # header + one row per shot, no outcome columns
+
+
+@pytest.mark.parametrize("ops,measured", [([{"measure": {"a": "Z:(1)|X:(0)"}}], True), ([], False)])
+def test_simulate_stats(tmp_path, capsys, ops, measured):
+    """--stats adds the model's counters and this command's LP, certificate
+    and oracle counts; the rest of the summary is what it is without it."""
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps({"d": 2, "n": 1, "state": {"preset": "T"}, "ops": ops}))
+    argv = ["simulate", "-d", "2", "-n", "1", str(circ), "--shots", "300", "--seed", "7"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "stats" not in json.loads(plain)
+    code, stdout, _ = run(capsys, *argv, "--stats")
+    assert code == 0
+    doc = json.loads(stdout)
+    stats = doc.pop("stats")
+    assert doc == json.loads(plain)
+    assert set(stats) == {"model", "exact_lp", "polytope", "oracle"}
+    assert set(stats["model"]) == set(STAT_NAMES)
+    assert set(stats["exact_lp"]) == {"rational", "split", "field", "pivots"}
+    assert set(stats["polytope"]) == {"modp", "exact"}
+    assert set(stats["oracle"]) == {"transitions", "reused", "branches"}
+    assert stats["model"]["shots"] == 300
+    assert stats["model"]["decompose_misses"] >= 1
+    assert stats["oracle"]["branches"] == (2 if measured else 0)
+    assert all(type(v) is int and v >= 0 for group in stats.values() for v in group.values())
 
 
 @pytest.mark.parametrize("shots", ["0", "-3"])

@@ -217,6 +217,19 @@ def test_kernel_structure(qubit_model):
     assert dict(kt.branch(0)) == {a0: 1}
 
 
+def test_kernel_stores_a_numpy_vertex_index_as_an_int(qubit_model):
+    """A numpy integer vertex index is cached as a Python int: the kernel's
+    alpha is an int and a later call with the plain int is a hit."""
+    model = HiddenVariableModel(qubit_model.vset, mode="exact")
+    group = z_measure(2).group()
+    kern = model.kernel(np.intp(3), group)
+    assert type(kern.alpha) is int and kern.alpha == 3
+    assert all(type(alpha) is int for _, alpha in model._kernels)
+    hits = model.stats["kernel_hits"]
+    assert model.kernel(3, group) is kern
+    assert model.stats["kernel_hits"] == hits + 1
+
+
 def test_decompositions_are_memoised_per_model(monkeypatch, qubit_model, qutrit_model):
     lp_calls = []
     solve_lp = hvm.feasible_point
@@ -533,6 +546,53 @@ def test_shot_records_are_prefix_stable(qubit_model):
     assert simulate_run(circ, qubit_model, dist, 5) == run_shots(circ, qubit_model, dist, 300, 5)[0]
 
 
+@pytest.mark.parametrize("count,width,d", [
+    (0, 3, 4), (25, 0, 4), (1, 2, 3), (500, 1, 2), (2500, 3, 4), (300, 40, 4), (200, 6, 7)])
+def test_shared_rows_equal_plain_tuples(count, width, d):
+    """The record builder's outcome rows equal one tuple per row, with one
+    object per distinct row.  Most rows repeat one of seven that differ only
+    in their last column, where at d=4 with 40 columns a mixed-radix int64
+    code of a row would wrap to the same value."""
+    rng = np.random.default_rng(1000 * count + width)
+    pool = np.repeat(rng.integers(0, d, (1, width)), 7, axis=0)
+    if width:
+        pool[:, -1] = np.arange(7) % d
+    outcomes = pool[rng.integers(0, len(pool), count)].astype(np.intp)
+    outcomes[::5] = rng.integers(0, d, outcomes[::5].shape)
+    expected = list(map(tuple, outcomes.tolist()))
+    for layout in (outcomes, np.asfortranarray(outcomes)):
+        rows = hvm._shared_rows(layout)
+        assert rows == expected
+        assert all(type(x) is int for row in rows for x in row)
+        assert len({id(row) for row in rows}) == len(set(rows))
+
+
+def test_shot_records_share_outcome_tuples_and_hold_ints(qutrit_model):
+    """Shots with equal outcomes share one tuple; every field is a Python
+    int, so the repr names no numpy type."""
+    model = HiddenVariableModel(qutrit_model.vset, mode="numeric")
+    rho = preset_state("strange", 3, 1)
+    circ = random_circuit(3, 1, 4, random.Random(17), clifford_generators(3, 1), rho, "strange")
+    records = run_shots(circ, model, model.decompose(rho), 2000, seed=3)
+    assert 1 < len({id(r.outcomes) for r in records}) == len({r.outcomes for r in records}) < 2000
+    assert [r.shot for r in records] == list(range(2000))
+    assert all(type(r.shot) is type(r.final_vertex) is int for r in records)
+    assert all(type(x) is int for r in records for x in r.outcomes)
+    first = records[0]
+    assert repr(first) == (f"ShotRecord(shot=0, outcomes={first.outcomes!r}, "
+                           f"final_vertex={first.final_vertex!r})")
+
+
+def test_shot_record_fields_repr_and_tuple_equality():
+    """A record keeps its three fields, in order, and its repr; as a
+    NamedTuple it also equals the plain tuple of its fields."""
+    rec = hvm.ShotRecord(3, (0, 2), 17)
+    assert hvm.ShotRecord._fields == ("shot", "outcomes", "final_vertex")
+    assert repr(rec) == "ShotRecord(shot=3, outcomes=(0, 2), final_vertex=17)"
+    assert rec == (3, (0, 2), 17) and hash(rec) == hash((3, (0, 2), 17))
+    assert (rec.shot, rec.outcomes, rec.final_vertex) == (3, (0, 2), 17)
+
+
 @pytest.mark.parametrize("shots,seed,threads", [(10, 1, 2), (-1, 1, None), (10, -1, 1)])
 def test_run_shots_rejects_bad_arguments(qubit_model, shots, seed, threads):
     """All shots run in one batch, so only threads=None or 1 is accepted."""
@@ -672,10 +732,17 @@ def test_checks_survive_python_optimize():
 
 
 def test_empty_circuit(qubit_model):
+    """A circuit with no measurement gives the empty outcome tuple on every
+    shot, and no shots give no records."""
     rho = preset_state("T", 2, 1)
+    dist = qubit_model.decompose(rho)
     circ = Circuit(2, 1, rho, "T", ())
-    rec = simulate_run(circ, qubit_model, qubit_model.decompose(rho), 3)
+    rec = simulate_run(circ, qubit_model, dist, 3)
     assert rec.outcomes == ()
+    records = run_shots(circ, qubit_model, dist, 1000, 5)
+    assert len(records) == 1000 and all(r.outcomes == () for r in records)
+    assert len({r.final_vertex for r in records}) > 1
+    assert run_shots(Circuit(2, 1, rho, "T", (z_measure(2),)), qubit_model, dist, 0, 5) == []
 
 
 def test_chi_square_helper():
