@@ -48,69 +48,134 @@ not zero.  Only the pivot rule differs between the paths:
   would still divide by D in the field, on entries that grow, so this path
   inverts once per pivot instead.
 
-``stats`` counts solves by path (``rational`` input, the ``split`` system,
-the ``field`` fallback) and simplex ``pivots`` on both paths, for the life
-of the process.
+Prepared rows: a caller that solves many systems over the same rows (the
+vertex columns of a decomposition, against one target per state) wraps them
+once in ``PreparedRows``.  It records whether every entry is rational and the
+rows' common cyclotomic order, and, for each split order, the rational
+coefficient rows of every row with their all-zero flags.  Split rows are
+built on first use at each order, because a right-hand side of a higher
+order raises the order of the split.  ``feasible_point`` takes plain rows,
+wrapped on the fly, or prepared ones; only the rows are prepared, never a
+result.
+
+Integer storage: the integer tableau, cost row included, is held in an
+``np.int64`` array when every start entry is below 2**31 in magnitude.  The
+ratio test's cross products and a pivot's pe * x and f * y are products of
+two entries below 2**31, so each is below 2**62 and each difference below
+2**63, inside int64; the pivot's quotient by D is exact as above.  After
+every pivot the new tableau's largest |entry| is checked against 2**31
+again, before the next ratio test reads it.  When the check fails, the run
+is abandoned and the same system is solved again from the start on Python
+ints, which cannot overflow.  Up to the failed check both runs computed the
+same exact integers, so they make the same pivots and the answer does not
+depend on the storage.  The tableau and the point are returned in Python
+ints.
+
+``stats`` counts, for the life of the process, solves by path
+(``rational`` input, the ``split`` system, the ``field`` fallback), simplex
+``pivots`` on both paths (of the runs that returned), integer solves that
+finished on ``int64`` storage and the ``restarts`` on Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from typing import Sequence, Union
+
+import numpy as np
 
 from .cyclotomic import CycNumber
 
-__all__ = ["feasible_point", "stats"]
+__all__ = ["PreparedRows", "feasible_point", "stats"]
 
-stats = {"rational": 0, "split": 0, "field": 0, "pivots": 0}
+stats = {"rational": 0, "split": 0, "field": 0, "pivots": 0, "int64": 0, "restarts": 0}
 
-
-def _is_rational(rows, b) -> bool:
-    for row in rows:
-        for x in row:
-            if isinstance(x, CycNumber) and not x.is_rational():
-                return False
-    return not any(isinstance(x, CycNumber) and not x.is_rational() for x in b)
+# Entries of an int64 tableau stay below this in magnitude (see above).
+INT64_BOUND = 1 << 31
 
 
-def feasible_point(a_rows: Sequence[Sequence], b: Sequence):
+class PreparedRows:
+    """Constraint rows prepared once for many right-hand sides.
+
+    `rational` says every entry is rational and `order` is the lcm of the
+    orders of the CycNumber entries (1 if none).  `split(order)` gives, per
+    row, its rational coefficient rows at that order and their all-zero
+    flags, built on first use.
+    """
+
+    __slots__ = ("rows", "rational", "order", "_splits")
+
+    def __init__(self, rows: Sequence[Sequence]):
+        self.rows = rows
+        cyc = [x for row in rows for x in row if isinstance(x, CycNumber)]
+        self.rational = all(x.is_rational() for x in cyc)
+        self.order = lcm(*(x.order for x in cyc))
+        self._splits: dict[int, list[tuple[list[list[Fraction]], list[bool]]]] = {}
+
+    def split(self, order: int) -> list[tuple[list[list[Fraction]], list[bool]]]:
+        """Per row, (coefficient rows, all-zero flags) in the power basis of
+        Q(zeta_order); order is a multiple of `self.order`."""
+        out = self._splits.get(order)
+        if out is None:
+            out = []
+            for row in self.rows:
+                coefs = [list(r) for r in zip(*(_coefficients(x, order) for x in row))]
+                out.append((coefs, [not any(r) for r in coefs]))
+            self._splits[order] = out
+        return out
+
+
+Rows = Union[PreparedRows, Sequence[Sequence]]
+
+
+def _prepared(a_rows: Rows) -> PreparedRows:
+    return a_rows if isinstance(a_rows, PreparedRows) else PreparedRows(a_rows)
+
+
+def _is_rational(a_rows: Rows, b) -> bool:
+    return _prepared(a_rows).rational and not any(
+        isinstance(x, CycNumber) and not x.is_rational() for x in b)
+
+
+def feasible_point(a_rows: Rows, b: Sequence):
     """Solve {x >= 0, A x = b} exactly; None if infeasible.
 
-    Entries are ints, Fractions or real CycNumbers.  Returns Fractions when
-    the rational simplex (directly or on the split system) finds the point,
-    real CycNumbers when the field simplex does.  The point is the basic
-    feasible solution reached by phase-I simplex under Bland's rule (rows
-    flipped to b >= 0 first), so identical inputs give identical outputs.
+    a_rows are the rows of A, plain or as PreparedRows.  Entries are ints,
+    Fractions or real CycNumbers.  Returns Fractions when the rational
+    simplex (directly or on the split system) finds the point, real
+    CycNumbers when the field simplex does.  The point is the basic feasible
+    solution reached by phase-I simplex under Bland's rule (rows flipped to
+    b >= 0 first), so identical inputs give identical outputs.
     """
-    if not a_rows:
+    a = _prepared(a_rows)
+    if not a.rows:
         return []
-    if _is_rational(a_rows, b):
+    if _is_rational(a, b):
         stats["rational"] += 1
-        return _rational_simplex(a_rows, b)
-    split = _split_rows(a_rows, b)
+        return _rational_simplex(a.rows, b)
+    split = _split_rows(a, b)
     if split is not None:
         stats["split"] += 1
         x = _rational_simplex(*split)
         if x is not None:
             return x
     stats["field"] += 1
-    return _field_simplex(a_rows, b)
+    return _field_simplex(a.rows, b)
 
 
-def _split_rows(a_rows, b):
+def _split_rows(a_rows: Rows, b):
     """The rational system of power-basis coefficients at one common order.
 
     None when a split row is all zero against a nonzero right-hand side,
     which makes the split system infeasible.
     """
-    order = lcm(*(x.order for row in (*a_rows, b) for x in row if isinstance(x, CycNumber)))
+    a = _prepared(a_rows)
+    order = lcm(a.order, *(x.order for x in b if isinstance(x, CycNumber)))
     rows, rhs = [], []
-    for row, bi in zip(a_rows, b):
-        cols = [_coefficients(x, order) for x in row]
-        for k, bk in enumerate(_coefficients(bi, order)):
-            r = [col[k] for col in cols]
-            if any(r):
+    for (coefs, zero), bi in zip(a.split(order), b):
+        for r, z, bk in zip(coefs, zero, _coefficients(bi, order)):
+            if not z:
                 rows.append(r)
                 rhs.append(bk)
             elif bk:
@@ -129,10 +194,13 @@ def _rational_simplex(a_rows, b):
 
 
 def _integer_phase_one(a_rows, b):
-    """Phase I on the integer tableau; the final (rows, cost, D, basis).
+    """Phase I on the integer tableau; the final (rows, cost, D, basis), in
+    Python ints.
 
     Each row is [x columns | artificial columns | rhs]; the cost row ends
     with the artificial sum.  Both are D times their rational counterparts.
+    The run is on an int64 array while every entry stays below INT64_BOUND,
+    and on Python ints from the start otherwise.
     """
     m, n = len(a_rows), len(a_rows[0])
     scaled, dens = [], []
@@ -147,8 +215,19 @@ def _integer_phase_one(a_rows, b):
     for i, (r, den) in enumerate(zip(scaled, dens)):
         f = det // den
         tab.append([f * v for v in r[:n]] + [det if j == i else 0 for j in range(m)] + [f * r[n]])
-    cost, det, basis = _phase_one(tab, det, n, _integer_pivot)
-    return tab, cost, det, basis
+    _append_cost(tab, det, n)
+    if max(max(row) for row in tab) < INT64_BOUND and min(min(row) for row in tab) > -INT64_BOUND:
+        arr = np.array(tab, dtype=np.int64)
+        try:
+            det, basis = _phase_one(arr, det, n, _int64_pivot)
+        except _Int64Overflow:
+            stats["restarts"] += 1
+        else:
+            stats["int64"] += 1
+            tab = arr.tolist()
+            return tab[:-1], tab[-1], det, basis
+    det, basis = _phase_one(tab, det, n, _integer_pivot)
+    return tab[:-1], tab[-1], det, basis
 
 
 def _field_simplex(a_rows, b):
@@ -161,30 +240,39 @@ def _field_simplex(a_rows, b):
         if r[-1] < 0:
             r = [-x for x in r]
         tab.append(r[:n] + [one if j == i else zero for j in range(m)] + r[n:])
-    cost, _, basis = _phase_one(tab, 1, n, _field_pivot)
-    return _point(tab, cost, basis, CycNumber.from_rational)
+    _append_cost(tab, 1, n)
+    _, basis = _phase_one(tab, 1, n, _field_pivot)
+    return _point(tab[:-1], tab[-1], basis, CycNumber.from_rational)
 
 
-def _phase_one(tab, det, n, pivot):
-    """Bland's rule on the rows of tab from the artificial basis, whose
-    columns hold D on the diagonal; the final (cost row, D, basis), with the
-    rows of tab pivoted in place.
-
-    Every entry is D times the textbook tableau entry and D > 0, so signs
-    and cross-multiplied ratios are those of the textbook tableau.
-    pivot(tab, p, e, D) pivots every row of tab, the cost row last, on row
-    p and column e, and returns the new D.
-    """
-    m = len(tab)
+def _append_cost(tab, det, n):
+    """Append the phase-I cost row to the rows [A | D I | b]: the column
+    sums, less D on the artificial columns, the artificial sum last."""
     cost = [sum(col) for col in zip(*tab)]
     cost[n:-1] = [c - det for c in cost[n:-1]]
     tab.append(cost)
+
+
+def _phase_one(tab, det, n, pivot):
+    """Bland's rule on tab, whose last row is the cost row, from the
+    artificial basis, whose columns hold D on the diagonal; the final
+    (D, basis), with tab pivoted in place.
+
+    Every entry is D times the textbook tableau entry and D > 0, so signs
+    and cross-multiplied ratios are those of the textbook tableau.
+    pivot(tab, p, e, D) pivots every row of tab, the cost row included, on
+    row p and column e, and returns the new D.  The pivots count in
+    stats only when the run returns.
+    """
+    m = len(tab) - 1
     basis = [n + i for i in range(m)]
+    pivots = 0
     while True:
         cost = tab[-1]
         enter = next((j for j in range(n + m) if cost[j] > 0), None)
         if enter is None:
-            return tab.pop(), det, basis
+            stats["pivots"] += pivots
+            return det, basis
         leave = None
         for i in range(m):
             row = tab[i]
@@ -202,7 +290,7 @@ def _phase_one(tab, det, n, pivot):
             raise ArithmeticError("unbounded phase-I simplex")
         det = pivot(tab, leave, enter, det)
         basis[leave] = enter
-        stats["pivots"] += 1
+        pivots += 1
 
 
 def _integer_pivot(tab, p, e, det):
@@ -217,6 +305,26 @@ def _integer_pivot(tab, p, e, det):
                 tab[i] = [pe * x // det for x in row]
             else:
                 tab[i] = [(pe * x - f * y) // det for x, y in zip(row, prow)]
+    return pe
+
+
+class _Int64Overflow(ArithmeticError):
+    """An int64 tableau entry reached INT64_BOUND; the run restarts on ints."""
+
+
+def _int64_pivot(tab, p, e, det):
+    """_integer_pivot on an int64 array, all rows at once.  Entries below
+    INT64_BOUND keep every product below 2**62; raises _Int64Overflow when
+    the new tableau has an entry at or above the bound."""
+    prow = tab[p].copy()
+    pe = int(prow[e])
+    col = tab[:, e].copy()
+    tab *= pe
+    tab -= np.outer(col, prow)
+    tab //= det
+    tab[p] = prow
+    if tab.max() >= INT64_BOUND or tab.min() <= -INT64_BOUND:
+        raise _Int64Overflow(f"tableau entry beyond 2**31 after a pivot on {pe}")
     return pe
 
 

@@ -5,12 +5,13 @@ quantum-mechanical oracle it is cross-validated against.
 
 Two arithmetic modes run through the same code paths:
 
-exact    feasibility LP over the vertex coordinates (exact_lp): the
-         rational simplex on the coordinates, or on their power-basis
-         coefficients when some are irrational, and the field simplex on
-         the Q(zeta) columns with exact sign tests only when no rational
-         point exists; weights are Fractions or real cyclotomic numbers,
-         and kernels carry exact cyclotomic weights;
+exact    feasibility LP over the vertex coordinates (exact_lp), on the
+         vertex set's rows prepared once: the rational simplex on the
+         coordinates, or on their power-basis coefficients when some are
+         irrational, and the field simplex on the Q(zeta) columns with
+         exact sign tests only when no rational point exists; weights are
+         Fractions or real cyclotomic numbers, and kernels carry exact
+         cyclotomic weights, interned per model;
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
 
@@ -192,9 +193,13 @@ def trace_with_projector(group: IsotropicSubgroup, r: ValueAssignment, mat: CycM
 # the model: decomposition, Clifford action, measurement kernels
 
 
-@dataclass
+@dataclass(slots=True)
 class TransitionKernel:
-    """q_{alpha,I}(beta, r): weights over (vertex, assignment-index) pairs."""
+    """q_{alpha,I}(beta, r): weights over (vertex, assignment-index) pairs.
+
+    In exact mode the weights and marginals are the model's interned
+    CycNumbers: equal values stored by one model are one object.
+    """
 
     alpha: int
     group: IsotropicSubgroup
@@ -243,6 +248,11 @@ class HiddenVariableModel:
     `stats` maps each name in STAT_NAMES to a count: cache hits and misses
     of `kernel`, `clifford_permutation` and `decompose`, sampling table rows
     filled and shots run.
+
+    In exact mode the model interns the values its kernels store, marginals
+    and weights t * w alike: one CycNumber per distinct (order, num, den),
+    shared by every kernel of the model, so a cached kernel costs its dict
+    of entries and little more.
     """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
@@ -255,6 +265,7 @@ class HiddenVariableModel:
         self._perms: dict[CliffordElement, np.ndarray] = {}
         self._decompositions: dict[tuple, dict[int, object]] = {}
         self._tables: dict[PhasePoint, _PointTable] = {}
+        self._values: dict[tuple, CycNumber] = {}
 
     # -- state decomposition -------------------------------------------------
 
@@ -295,20 +306,17 @@ class HiddenVariableModel:
         return weights
 
     def _decompose_exact(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
-        cols = [v.coords for v in self.vset.vertices]
-        rows = [[col[pos] for col in cols] for pos in range(len(target))]
-        rows.append([Fraction(1)] * len(cols))
+        rows = self.vset.lp_rows
         rhs = [*target, Fraction(1)]
         sol = feasible_point(rows, rhs)
         if sol is None:
             return None
         weights = {i: w for i, w in enumerate(sol) if w != 0}
-        cyc = [x for row in (*rows, rhs) for x in row if isinstance(x, CycNumber)]
-        if any(not x.is_rational() for x in cyc):
+        if not rows.rational or any(not x.is_rational() for x in target):
             # An irrational system may still be answered in Fractions (by
             # the split path); declare them at the system's order, as the
             # field simplex would, so weights print the same either way.
-            order = lcm(*(x.order for x in cyc))
+            order = lcm(rows.order, *(x.order for x in target))
             weights = {i: CycNumber.from_rational(w, order) if isinstance(w, Fraction) else w
                        for i, w in weights.items()}
         dist = StateDistribution(self.vset, weights, "exact")
@@ -394,6 +402,7 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
+        exact = self.mode == "exact"
         probs, post = _born_transition(group, self.vset[alpha].matrix)
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
@@ -401,15 +410,14 @@ class HiddenVariableModel:
             sgn = t.sign()
             if sgn < 0:
                 raise AssertionError("negative outcome weight on a polytope vertex")
-            marginals.append(t if self.mode == "exact" else float(t))
+            marginals.append(self._intern(t) if exact else float(t))
             if sgn == 0:
                 continue
             dist = self.decompose(post(ri))
             for beta, w in dist.weights.items():
-                q = (t * w) if self.mode == "exact" else float(t) * w
-                entries[(beta, ri)] = q
+                entries[(beta, ri)] = self._intern(t * w) if exact else float(t) * w
         kern = TransitionKernel(alpha, group, _group_assignments(group), entries, tuple(marginals))
-        if self.mode == "exact":
+        if exact:
             total = CycNumber.zero()
             for w in kern.entries.values():
                 total = total + w
@@ -418,6 +426,10 @@ class HiddenVariableModel:
             _verify(abs(sum(kern.entries.values()) - 1.0) < 1e-9, "kernel normalization failed")
         self._kernels[key] = kern
         return kern
+
+    def _intern(self, x: CycNumber) -> CycNumber:
+        """The model's one stored CycNumber equal to x in (order, num, den)."""
+        return self._values.setdefault((x.order, x.num, x.den), x)
 
     # -- sampling tables ----------------------------------------------------------
 
@@ -797,9 +809,11 @@ def chi_square(counts: dict[tuple[int, ...], int],
                min_expected: float = 5.0) -> tuple[float, float]:
     """(statistic, p-value) of the frequencies against the oracle distribution.
 
-    Bins with small expectation are merged to keep the test applicable.
+    Bins with small expectation are merged to keep the test applicable.  The
+    p-value is scipy.special.chdtrc, the function behind scipy.stats.chi2.sf,
+    without the import of scipy.stats.
     """
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
 
     unknown = set(counts) - set(probs)
     if unknown:
@@ -814,7 +828,7 @@ def chi_square(counts: dict[tuple[int, ...], int],
         f_exp.append(sum(p for _, p in small) * shots)
     stat = sum((o - e) ** 2 / e for o, e in zip(f_obs, f_exp) if e > 0)
     dof = max(len(f_exp) - 1, 1)
-    return stat, float(chi2.sf(stat, dof))
+    return stat, float(chdtrc(dof, stat))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from .cyclotomic import CycNumber, zeta
 from .dd import extreme_rays
+from .exact_lp import PreparedRows
 from .linalg import CycMatrix, dot, exact_rank
 from .pauli import (PhasePoint, omega_power, pauli_mono, pauli_order,
                     phase_space)
@@ -461,6 +462,15 @@ class VertexSet:
         index = {tuple((x.num, x.den) for x in xs): v.index
                  for xs, v in zip(coefficients, self.vertices)}
         return slots, coefficients, index
+
+    @cached_property
+    def lp_rows(self) -> PreparedRows:
+        """The rows of the exact decomposition system, prepared once: row k
+        holds coordinate k of every vertex, and a last row of ones makes the
+        weights sum to 1.  Built on first use; solves share it, not results."""
+        rows = [list(row) for row in zip(*(v.coords for v in self.vertices))]
+        rows.append([Fraction(1)] * len(self.vertices))
+        return PreparedRows(rows)
 
     @cached_property
     def float_coords(self) -> np.ndarray:

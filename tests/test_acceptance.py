@@ -29,7 +29,7 @@ from lambda_hvm.hvm import (Circuit, HiddenVariableModel, MeasureOp,
                             oracle_distribution, phi_apply, random_circuit,
                             run_shots, verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
-from lambda_hvm.pauli import (PhasePoint, clifford_generators, compose_check,
+from lambda_hvm.pauli import (PhasePoint, _mu_step, clifford_generators, compose_check,
                               pauli_mono, pauli_order, phase_space,
                               symplectic_product)
 from lambda_hvm.polytope import (VertexCertificate, certify_vertex,
@@ -67,7 +67,7 @@ def test_criterion_1_pauli_algebra():
     t0 = time.time()
     checked = 0
     for d, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2)):
-        t = 1 if d % 2 else 2
+        t = _mu_step(d)
         points = list(phase_space(d, n))
         for a in points:
             assert pauli_mono(a).power(d).is_identity()

@@ -237,13 +237,111 @@ def test_row_denominators_scale_each_row_on_its_own():
     assert feasible_point(rows, b) == [Fraction(0), Fraction(1), Fraction(1)]
 
 
+# -- int64 storage and the restart on Python ints -------------------------------
+
+
+def _storage_delta(rows, b):
+    """assert_matches_reference on (rows, b), and how the integer runs ended."""
+    start = {k: exact_lp.stats[k] for k in ("int64", "restarts")}
+    assert_matches_reference(rows, b)
+    return {k: exact_lp.stats[k] - start[k] for k in start}
+
+
+def wide_integer_lp(m, seed):
+    """m x (m + 4) integer rows with entries in [-4096, 4096] and a planted
+    point: the start tableau fits int64 storage, its minors do not."""
+    rng = random.Random(f"exact_lp/int64/{m}/{seed}")
+    n = m + 4
+    rows = [[rng.randint(-4096, 4096) for _ in range(n)] for _ in range(m)]
+    x = [rng.randint(0, 3) for _ in range(n)]
+    return rows, [sum(a * w for a, w in zip(row, x)) for row in rows]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_entries_past_the_int64_bound_restart_on_python_ints(m, seed):
+    # feasible_point and _integer_phase_one each restart once; the point,
+    # the pivot count of the returned run and the whole final tableau are
+    # still the reference simplex's.
+    rows, b = wide_integer_lp(m, seed)
+    assert max(abs(v) for row in rows for v in row) <= 4096
+    assert _storage_delta(rows, b) == {"int64": 0, "restarts": 2}
+
+
+def test_a_start_tableau_past_the_bound_runs_on_python_ints():
+    # 2**31 itself is out of int64 storage, so no int64 run starts
+    big = exact_lp.INT64_BOUND
+    rows = [[big, 1, 0], [1, 2, 3]]
+    assert _storage_delta(rows, [big + 1, 6]) == {"int64": 0, "restarts": 0}
+    rows = [[Fraction(1, 3 * big), 1], [1, 1]]
+    assert _storage_delta(rows, [1, 2]) == {"int64": 0, "restarts": 0}
+
+
+def test_small_integer_lps_finish_on_int64_storage():
+    rows = [[2, -1, 0, 1], [0, 1, -2, 1], [1, 1, 1, -2]]
+    b = [3, 1, 2]
+    assert _storage_delta(rows, b) == {"int64": 2, "restarts": 0}
+    x = feasible_point(rows, b)
+    assert all(type(w) is Fraction and type(w.numerator) is int and type(w.denominator) is int
+               for w in x)
+
+
+# -- prepared rows --------------------------------------------------------------
+
+
+def _same_answer(x, y):
+    assert x == y
+    if x is not None:
+        assert [type(w) for w in x] == [type(w) for w in y]
+        assert [w.serialize() if isinstance(w, CycNumber) else repr(w) for w in x] == \
+            [w.serialize() if isinstance(w, CycNumber) else repr(w) for w in y]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prepared_rows_reused_across_right_hand_side_orders(seed, calls):
+    # One PreparedRows per Q(sqrt 2) matrix answers right-hand sides of
+    # order 1, 8 and 24 (sqrt 3 raises the split order) exactly as the plain
+    # rows do, on the split and on the field path.
+    r3 = sqrt_int(3)
+    rational_rows, b_split = planted_rational_lp(8, seed)
+    field_rows, b_field, _ = planted_irrational_lp(8, seed)
+    for rows, b in ((rational_rows, b_split), (field_rows, b_field)):
+        prepared = exact_lp.PreparedRows(rows)
+        assert not prepared.rational and prepared.order == 8
+        for rhs in (b, [x + r3 * 0 for x in b], [b[0] + r3, *b[1:]], [Fraction(1)] * len(b), b):
+            assert exact_lp._split_rows(prepared, rhs) == exact_lp._split_rows(rows, rhs)
+            _same_answer(feasible_point(prepared, rhs), feasible_point(rows, rhs))
+    paths = calls()
+    assert paths["rational"] == 0 and paths["split"] > 0 and paths["field"] > 0
+
+
+def test_prepared_rational_rows():
+    rows = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+    prepared = exact_lp.PreparedRows(rows)
+    assert prepared.rational and prepared.order == 1
+    for b in ([Fraction(3), Fraction(2)], [sqrt_int(2), Fraction(1)], [Fraction(-1), Fraction(0)]):
+        _same_answer(feasible_point(prepared, b), feasible_point(rows, b))
+    assert feasible_point(exact_lp.PreparedRows([]), []) == []
+
+
+def test_vertex_set_lp_rows_are_the_transposed_coordinates():
+    vset = enumerate_vertices(lambda_hrep(3, 1))
+    prepared = vset.lp_rows
+    assert prepared is vset.lp_rows
+    cols = [v.coords for v in vset.vertices]
+    assert prepared.rows == [[col[k] for col in cols] for k in range(len(cols[0]))] + \
+        [[Fraction(1)] * len(cols)]
+
+
 def _recorded_lps(monkeypatch, run):
-    """The distinct systems that feasible_point receives from the model during run()."""
+    """The distinct systems that feasible_point receives from the model during
+    run(), with prepared rows unwrapped to their plain rows."""
     seen = {}
     solve = hvm.feasible_point
 
     def record(rows, b):
-        seen.setdefault(repr((rows, b)), (rows, b))
+        plain = rows.rows if isinstance(rows, exact_lp.PreparedRows) else rows
+        seen.setdefault(repr((plain, b)), (plain, b))
         return solve(rows, b)
 
     with monkeypatch.context() as patch:

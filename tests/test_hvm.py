@@ -305,6 +305,28 @@ def test_qutrit_kernel_table_is_pinned(qutrit_exact_model):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUTRIT_KERNEL_TABLE_SHA256
 
 
+
+def test_kernels_of_a_model_share_one_object_per_weight(qutrit_model):
+    # every marginal and weight the model's kernels store is its one interned
+    # CycNumber for that (order, num, den); a second model interns its own
+    def stored(model):
+        kerns = [model.kernel(alpha, group) for group in line_groups(3)
+                 for alpha in range(len(model.vset))]
+        return [x for k in kerns for x in (*k.marginals, *k.entries.values())]
+
+    model = HiddenVariableModel(qutrit_model.vset, mode="exact")
+    values = stored(model)
+    by_key: dict = {}
+    for x in values:
+        assert type(x) is CycNumber
+        by_key.setdefault((x.order, x.num, x.den), set()).add(id(x))
+    assert all(len(ids) == 1 for ids in by_key.values())
+    assert len(by_key) < len(values) // 10
+    other = stored(HiddenVariableModel(qutrit_model.vset, mode="exact"))
+    assert [x.serialize() for x in other] == [x.serialize() for x in values]
+    assert not {id(x) for x in other} & {id(x) for x in values}
+    assert not hasattr(model.kernel(0, line_groups(3)[0]), "__dict__")
+
 def test_kernel_normalization_and_marginals(qutrit_model):
     rng = random.Random(1)
     from lambda_hvm.hvm import trace_with_projector
@@ -753,6 +775,27 @@ def test_chi_square_helper():
     with pytest.raises(AssertionError):
         chi_square({(9,): 1}, probs, 1)
 
+
+
+def test_chi_square_p_value_is_bit_identical_to_chi2_sf():
+    # chi_square reads its p-value from scipy.special.chdtrc; on a seeded
+    # grid it equals scipy.stats.chi2.sf bit for bit
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(20)
+    for dof in range(1, 60):
+        for x in rng.exponential(dof, 40).tolist() + [0.0, dof, 1e-9, 40.0 * dof]:
+            assert float(chdtrc(dof, x)) == float(chi2.sf(x, dof)), (dof, x)
+    for k in range(2, 12):
+        # every bin expects >= 5 shots, so there are k - 1 degrees of freedom
+        probs = dict(enumerate(rng.dirichlet(np.full(k, 20.0)).tolist()))
+        probs = {(o,): p for o, p in probs.items()}
+        shots = 400 * k
+        counts = dict(zip(probs, rng.multinomial(shots, list(probs.values())).tolist()))
+        assert min(probs.values()) * shots >= 5
+        stat, p = chi_square(counts, probs, shots)
+        assert p == float(chi2.sf(stat, k - 1))
 
 def test_sampled_distribution_matches_oracle(qutrit_model):
     rng = random.Random(12)

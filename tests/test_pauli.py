@@ -13,8 +13,8 @@ from lambda_hvm.pauli import (CliffordElement, NotCliffordError, PhasePoint,
                               clifford_generators, compose_check, embed, omega_power,
                               pauli_matrix, pauli_mono, pauli_order, pauli_sum,
                               phase_space, symplectic_product)
-from lambda_hvm.pauli import (_fourier_matrix, _multiplier_matrix, _phase_gate_matrix,
-                              _sum_gate_matrix)
+from lambda_hvm.pauli import (_fourier_matrix, _multiplier_matrix, _mu_step,
+                              _phase_gate_matrix, _sum_gate_matrix)
 from lambda_hvm.polytope import coord_order
 from lambda_hvm.stabilizer import enumerate_isotropics, value_assignments
 from tests_support import (random_full_matrix, reference_clifford_tables,
@@ -24,10 +24,17 @@ SHARED_SYSTEMS = [(2, 1), (3, 1), (4, 1), (2, 2)]
 
 
 def mu_exponent(d, omega_exp):
-    t = 1 if d % 2 else 2
-    k = Fraction(omega_exp) * t
+    k = Fraction(omega_exp) * _mu_step(d)
     assert k.denominator == 1
     return int(k) % pauli_order(d)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_mu_step_gives_omega(d):
+    # mu generates the roots of unity of order pauli_order(d), and mu^t is
+    # omega = e^{2 pi i / d}
+    assert zeta(pauli_order(d), _mu_step(d)) == zeta(d, 1)
+    assert omega_power(d, 1) == zeta(d, 1)
 
 
 def test_symplectic_product_examples():

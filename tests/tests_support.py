@@ -12,8 +12,8 @@ from lambda_hvm.exact_lp import feasible_point
 from lambda_hvm.hvm import (CliffordOp, OracleBranch, ShotRecord, VertexSetIncomplete,
                             trace_with_projector)
 from lambda_hvm.linalg import CycMatrix, exact_rank, exact_solve
-from lambda_hvm.pauli import (NotCliffordError, PhasePoint, omega_power, pauli_matrix,
-                              pauli_mono, pauli_order, phase_space)
+from lambda_hvm.pauli import (NotCliffordError, PhasePoint, _mu_step, omega_power,
+                              pauli_matrix, pauli_mono, pauli_order, phase_space)
 from lambda_hvm.polytope import (VertexCertificate, VertexRejection, _projected_rows,
                                  _vertices_from_coord_list, additive_assignments,
                                  membership, operator_coords, wigner_operator)
@@ -361,12 +361,12 @@ def _reference_trace_with_pauli(mat, b):
 
 def reference_projector_trace(points, value, x):
     """The per-module loop that stabilizer.projector_trace replaced:
-    Tr((1/|S|) sum omega^{-v(b)} T_b . X) with its own omega = mu^t."""
+    Tr((1/|S|) sum omega^{-v(b)} T_b . X), with omega = mu^t."""
     if not points:
         return CycNumber.zero()
     d = points[0].d
     order = pauli_order(d)
-    t = 1 if d % 2 else 2
+    t = _mu_step(d)
     acc = CycNumber.zero(order)
     for b in points:
         acc = acc + zeta(order, (-t * value(b)) % order) * _reference_trace_with_pauli(x, b)
@@ -378,7 +378,7 @@ def reference_projector_matrix(d, n, points, values):
     pts = list(points)
     dim = d ** n
     order = pauli_order(d)
-    t = 1 if d % 2 else 2
+    t = _mu_step(d)
     zero = CycNumber.zero(order)
     rows = [[zero] * dim for _ in range(dim)]
     for b in pts:
