@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycNumber
 from .exact_lp import stats as lp_stats
@@ -106,7 +107,7 @@ def parse_circuit(text: str) -> Circuit:
     d, n = doc["d"], doc["n"]
     _guard_dims(d, n)
     state, state_name = parse_state(doc["state"], d, n)
-    gates = {g.name: g for g in clifford_generators(d, n)}
+    gates = {g.name: g for g in _generators(d, n)}
     ops = []
     for pos, op in enumerate(doc["ops"]):
         where = f"ops[{pos}]"
@@ -160,6 +161,24 @@ def _vertex_set(args):
         raise UsageError(f"vertex file is for d={vset.d}, n={vset.n}; "
                          f"flags say d={args.d}, n={args.n}")
     return vset
+
+
+@lru_cache(maxsize=None)
+def _generators(d: int, n: int) -> tuple[CliffordElement, ...]:
+    """One set of generator elements shared by the circuit gates and the
+    closure check, so a model computes each one's permutation once."""
+    return tuple(clifford_generators(d, n))
+
+
+def _model(args, mode: str) -> HiddenVariableModel:
+    """A model over the command's vertex set.  A loaded --vertices file must
+    be closed under the generators, whose permutations are computed here, so
+    a missing vertex is named before the command starts."""
+    model = HiddenVariableModel(_vertex_set(args), mode)
+    if args.vertices:
+        for g in _generators(args.d, args.n):
+            model.clifford_permutation(g)
+    return model
 
 
 def clifford_orbits(vset, gens=None):
@@ -225,8 +244,7 @@ def cmd_decompose(args) -> int:
         rho, name = parse_state(doc, args.d, args.n)
     else:
         rho, name = parse_state({"preset": args.state}, args.d, args.n)
-    vset = _vertex_set(args)
-    model = HiddenVariableModel(vset, mode=args.mode)
+    model = _model(args, args.mode)
     try:
         dist = model.decompose(rho)
     except DecompositionInfeasible as exc:
@@ -268,8 +286,7 @@ def cmd_simulate(args) -> int:
     if (circuit.d, circuit.n) != (args.d, args.n):
         raise UsageError(f"circuit is for d={circuit.d}, n={circuit.n}; "
                          f"flags say d={args.d}, n={args.n}")
-    vset = _vertex_set(args)
-    model = HiddenVariableModel(vset, mode=args.mode)
+    model = _model(args, args.mode)
     dist = model.decompose(circuit.state)
     records = run_shots(circuit, model, dist, args.shots, args.seed)
     if args.out:
@@ -332,26 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hidden-variable simulator over the dual of the stabilizer polytope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *flags):
         p.add_argument("-d", type=int, default=2, help="qudit dimension (>= 2)")
         p.add_argument("-n", type=int, default=1, help="number of qudits")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-        p.add_argument("--vertices", metavar="FILE", help="load a saved vertex-set file")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        if "mode" in flags:
+            p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
+        if "vertices" in flags:
+            p.add_argument("--vertices", metavar="FILE", help="load a saved vertex-set file")
         p.add_argument("--out", metavar="FILE", help="output file")
 
     p_vert = sub.add_parser("vertices", help="enumerate and certify polytope vertices")
-    common(p_vert)
+    common(p_vert, "vertices")
     p_vert.set_defaults(func=cmd_vertices)
 
     p_dec = sub.add_parser("decompose", help="decompose a state over the vertices")
-    common(p_dec)
+    common(p_dec, "mode", "vertices")
     p_dec.add_argument("--state", required=True,
                        help="preset name, or @FILE with a state JSON document")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="run the sampling simulator on a circuit")
-    common(p_sim)
+    common(p_sim, "seed", "mode", "vertices")
     p_sim.add_argument("circuit", help="circuit JSON file")
     p_sim.add_argument("--shots", type=int, default=10000)
     p_sim.add_argument("--stats", action="store_true",
@@ -360,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    common(p_ver)
+    common(p_ver, "seed")
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -58,23 +58,25 @@ order raises the order of the split.  ``feasible_point`` takes plain rows,
 wrapped on the fly, or prepared ones; only the rows are prepared, never a
 result.
 
-Integer storage: the integer tableau, cost row included, is held in an
-``np.int64`` array when every start entry is below 2**31 in magnitude.  The
-ratio test's cross products and a pivot's pe * x and f * y are products of
+Integer storage: the integer tableau, cost row included, is one numpy
+array, and one array pivot runs on it whatever its dtype.  The run starts on
+``np.int64`` when every start entry is below 2**31 in magnitude.  The ratio
+test's cross products and a pivot's pe * x and f * y are then products of
 two entries below 2**31, so each is below 2**62 and each difference below
 2**63, inside int64; the pivot's quotient by D is exact as above.  After
-every pivot the new tableau's largest |entry| is checked against 2**31
+every int64 pivot the new tableau's largest |entry| is checked against 2**31
 again, before the next ratio test reads it.  When the check fails, the run
-is abandoned and the same system is solved again from the start on Python
-ints, which cannot overflow.  Up to the failed check both runs computed the
-same exact integers, so they make the same pivots and the answer does not
-depend on the storage.  The tableau and the point are returned in Python
-ints.
+is abandoned and the same system is solved again from the start on an
+``object`` array of Python ints, which cannot overflow and needs no check; a
+start tableau past the bound runs there from the first pivot.  Up to the
+failed check both runs computed the same exact integers, so they make the
+same pivots and the answer does not depend on the storage.  The tableau and
+the point are returned in Python ints.
 
 ``stats`` counts, for the life of the process, solves by path
 (``rational`` input, the ``split`` system, the ``field`` fallback), simplex
 ``pivots`` on both paths (of the runs that returned), integer solves that
-finished on ``int64`` storage and the ``restarts`` on Python ints.
+finished on ``int64`` storage and the ``restarts`` on object storage.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def _integer_phase_one(a_rows, b):
     Each row is [x columns | artificial columns | rhs]; the cost row ends
     with the artificial sum.  Both are D times their rational counterparts.
     The run is on an int64 array while every entry stays below INT64_BOUND,
-    and on Python ints from the start otherwise.
+    and on an object array of Python ints from the start otherwise.
     """
     m, n = len(a_rows), len(a_rows[0])
     scaled, dens = [], []
@@ -216,18 +218,18 @@ def _integer_phase_one(a_rows, b):
         f = det // den
         tab.append([f * v for v in r[:n]] + [det if j == i else 0 for j in range(m)] + [f * r[n]])
     _append_cost(tab, det, n)
-    if max(max(row) for row in tab) < INT64_BOUND and min(min(row) for row in tab) > -INT64_BOUND:
-        arr = np.array(tab, dtype=np.int64)
+    fits = max(max(row) for row in tab) < INT64_BOUND and min(min(row) for row in tab) > -INT64_BOUND
+    for dtype in (np.int64, object) if fits else (object,):
+        arr = np.array(tab, dtype=dtype)
         try:
-            det, basis = _phase_one(arr, det, n, _int64_pivot)
+            det, basis = _phase_one(arr, det, n, _array_pivot)
         except _Int64Overflow:
             stats["restarts"] += 1
-        else:
+            continue
+        if dtype is np.int64:
             stats["int64"] += 1
-            tab = arr.tolist()
-            return tab[:-1], tab[-1], det, basis
-    det, basis = _phase_one(tab, det, n, _integer_pivot)
-    return tab[:-1], tab[-1], det, basis
+        tab = arr.tolist()
+        return tab[:-1], tab[-1], det, basis
 
 
 def _field_simplex(a_rows, b):
@@ -293,29 +295,15 @@ def _phase_one(tab, det, n, pivot):
         pivots += 1
 
 
-def _integer_pivot(tab, p, e, det):
-    """Every other row r becomes (pe * r - r[e] * M[p]) // D, exact by the D
-    invariant; the new D is pe."""
-    prow = tab[p]
-    pe = prow[e]
-    for i, row in enumerate(tab):
-        if i != p:
-            f = row[e]
-            if f == 0:
-                tab[i] = [pe * x // det for x in row]
-            else:
-                tab[i] = [(pe * x - f * y) // det for x, y in zip(row, prow)]
-    return pe
-
-
 class _Int64Overflow(ArithmeticError):
     """An int64 tableau entry reached INT64_BOUND; the run restarts on ints."""
 
 
-def _int64_pivot(tab, p, e, det):
-    """_integer_pivot on an int64 array, all rows at once.  Entries below
-    INT64_BOUND keep every product below 2**62; raises _Int64Overflow when
-    the new tableau has an entry at or above the bound."""
+def _array_pivot(tab, p, e, det):
+    """Every other row r of the array tab becomes (pe * r - r[e] * M[p]) // D,
+    exact by the D invariant; the new D is pe.  On int64 storage, entries
+    below INT64_BOUND keep every product below 2**62, and _Int64Overflow is
+    raised when the new tableau has an entry at or above the bound."""
     prow = tab[p].copy()
     pe = int(prow[e])
     col = tab[:, e].copy()
@@ -323,7 +311,7 @@ def _int64_pivot(tab, p, e, det):
     tab -= np.outer(col, prow)
     tab //= det
     tab[p] = prow
-    if tab.max() >= INT64_BOUND or tab.min() <= -INT64_BOUND:
+    if tab.dtype == np.int64 and (tab.max() >= INT64_BOUND or tab.min() <= -INT64_BOUND):
         raise _Int64Overflow(f"tableau entry beyond 2**31 after a pivot on {pe}")
     return pe
 

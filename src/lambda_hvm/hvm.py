@@ -3,7 +3,13 @@ polytope vertices, deterministic Clifford vertex dynamics, probabilistic
 measurement update kernels, the sampling simulator, and the exact
 quantum-mechanical oracle it is cross-validated against.
 
-Two arithmetic modes run through the same code paths:
+Two arithmetic modes run through the same code paths.  Apart from finding
+a decomposition, the mode decides only three things: how the model stores a
+value (`_value`: its interned CycNumber, or a float), how a model value is
+compared with the exact one (`_check`: equality, or agreement within a
+tolerance) and how the layered Born check normalises a posterior (by the
+exact Born probability, or by the posterior's own float sum).  Decompositions
+are found by:
 
 exact    feasibility LP over the vertex coordinates (exact_lp), on the
          vertex set's rows prepared once: the rational simplex on the
@@ -159,7 +165,7 @@ class StateDistribution:
     def reconstruct(self) -> CycMatrix:
         acc = None
         for alpha, w in sorted(self.weights.items()):
-            term = self.vset[alpha].matrix.scale(w if not isinstance(w, float) else Fraction(w))
+            term = self.vset[alpha].matrix.scale(w)
             acc = term if acc is None else acc + term
         return acc
 
@@ -402,7 +408,6 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
-        exact = self.mode == "exact"
         probs, post = _born_transition(group, self.vset[alpha].matrix)
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
@@ -410,26 +415,39 @@ class HiddenVariableModel:
             sgn = t.sign()
             if sgn < 0:
                 raise AssertionError("negative outcome weight on a polytope vertex")
-            marginals.append(self._intern(t) if exact else float(t))
+            t = self._value(t)
+            marginals.append(t)
             if sgn == 0:
                 continue
-            dist = self.decompose(post(ri))
-            for beta, w in dist.weights.items():
-                entries[(beta, ri)] = self._intern(t * w) if exact else float(t) * w
-        kern = TransitionKernel(alpha, group, _group_assignments(group), entries, tuple(marginals))
-        if exact:
-            total = CycNumber.zero()
-            for w in kern.entries.values():
-                total = total + w
-            _verify(total == 1, "kernel normalization failed")
-        else:
-            _verify(abs(sum(kern.entries.values()) - 1.0) < 1e-9, "kernel normalization failed")
-        self._kernels[key] = kern
+            for beta, w in self.decompose(post(ri)).weights.items():
+                entries[(beta, ri)] = self._value(t * w)
+        self._check(sum(entries.values()), 1, 1e-9, "kernel normalization failed",
+                    "kernel normalization failed")
+        kern = self._kernels[key] = TransitionKernel(
+            alpha, group, _group_assignments(group), entries, tuple(marginals))
         return kern
 
-    def _intern(self, x: CycNumber) -> CycNumber:
-        """The model's one stored CycNumber equal to x in (order, num, den)."""
+    def _value(self, x):
+        """x as the model stores it: in exact mode the model's one CycNumber
+        equal to x in (order, num, den), in numeric mode a float."""
+        if self.mode == "numeric":
+            return float(x)
         return self._values.setdefault((x.order, x.num, x.den), x)
+
+    def _check(self, x, y, tol: float, exact_message: str, numeric_message: str) -> float:
+        """The error of the model's x against the exact y: 0.0 in exact mode,
+        where x must equal y, else the largest float |x - y|, which must be at
+        most tol.  A StateDistribution x is compared through the operator it
+        reconstructs.  A failure raises VerificationError with the mode's
+        message, the numeric one formatted with the error."""
+        dist = isinstance(x, StateDistribution)
+        if self.mode == "exact":
+            _verify((x.reconstruct() if dist else x) == y, exact_message)
+            return 0.0
+        x, y = (x.reconstruct_complex(), y.to_complex()) if dist else (x, float(y))
+        err = float(np.max(np.abs(x - y)))
+        _verify(err <= tol, numeric_message.format(err))
+        return err
 
     # -- sampling tables ----------------------------------------------------------
 
@@ -448,27 +466,6 @@ class HiddenVariableModel:
                                    for (beta, ri), w in sorted(kern.entries.items()))
         nxt, out = zip(*keys)
         table.fill(alpha, sums, nxt, out)
-
-
-def _aggregate(mode: str, dist: StateDistribution, group: IsotropicSubgroup,
-               kerns: dict[int, TransitionKernel]) -> list[tuple[ValueAssignment, object]]:
-    """Outcome distribution r -> sum_alpha p(alpha) Q_I(r | alpha), over the
-    kernels kerns already looked up for dist's support.
-
-    Equals Tr(Pi_I^r rho) for the state the distribution reconstructs; exact
-    in exact mode.
-    """
-    out = []
-    for ri, r in enumerate(_group_assignments(group)):
-        if mode == "exact":
-            acc = CycNumber.zero()
-            for a, w in dist.weights.items():
-                acc = acc + kerns[a].marginals[ri] * w
-        else:
-            acc = sum(float(kerns[a].marginals[ri]) * float(w)
-                      for a, w in dist.weights.items())
-        out.append((r, acc))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +749,6 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
     """
     rho = circuit.state
     dist = model.decompose(rho)
-    exact = model.mode == "exact"
     layers = 0
     max_prob_err = 0.0
     max_state_err = 0.0
@@ -766,37 +762,32 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
         group = op.group()
         kerns = {a: model.kernel(a, group) for a in dist.weights}
         probs_qm, post = _born_transition(group, rho)
-        for (_, p_sim), p_qm in zip(_aggregate(model.mode, dist, group, kerns), probs_qm):
-            if exact:
-                _verify(p_sim == p_qm, "Born aggregate differs from the oracle")
-            else:
-                err = abs(p_sim - float(p_qm))
-                _verify(err <= tol, f"Born aggregate off by {err}")
-                max_prob_err = max(max_prob_err, err)
+        for ri, p_qm in enumerate(probs_qm):
+            # the Born aggregate sum_alpha p(alpha) Q(r | alpha)
+            p_sim = sum(kerns[a].marginals[ri] * w for a, w in dist.weights.items())
+            err = model._check(p_sim, p_qm, tol, "Born aggregate differs from the oracle",
+                               "Born aggregate off by {}")
+            max_prob_err = max(max_prob_err, err)
         layers += 1
         # descend into the most likely branch
         floats = [float(p) for p in probs_qm]
         ri = max(range(len(floats)), key=lambda i: (floats[i], -i))
-        p_qm = probs_qm[ri]
         rho = post(ri)
         posterior: dict[int, object] = {}
         for a, w in dist.weights.items():
             for beta, q in kerns[a].branch(ri):
                 prev = posterior.get(beta)
-                term = (w * q) if exact else float(w) * float(q)
-                posterior[beta] = term if prev is None else prev + term
-        if exact:
-            inv = p_qm.inverse()
+                posterior[beta] = w * q if prev is None else prev + w * q
+        if model.mode == "exact":
+            inv = probs_qm[ri].inverse()
             posterior = {b: v * inv for b, v in posterior.items()}
-            dist = StateDistribution(model.vset, posterior, "exact")
-            _verify(dist.reconstruct() == rho, "chain-rule post-state mismatch")
         else:
             total = sum(posterior.values())
             posterior = {b: v / total for b, v in posterior.items()}
-            dist = StateDistribution(model.vset, posterior, "numeric")
-            err = float(np.max(np.abs(dist.reconstruct_complex() - rho.to_complex())))
-            _verify(err <= tol, f"chain-rule post-state off by {err}")
-            max_state_err = max(max_state_err, err)
+        dist = StateDistribution(model.vset, posterior, model.mode)
+        err = model._check(dist, rho, tol, "chain-rule post-state mismatch",
+                           "chain-rule post-state off by {}")
+        max_state_err = max(max_state_err, err)
     return {"layers": layers, "max_prob_err": max_prob_err, "max_state_err": max_state_err}
 
 

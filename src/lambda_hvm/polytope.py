@@ -86,10 +86,6 @@ def coord_order(d: int) -> int:
 # coordinates
 
 
-def _to_order(x: CycNumber, order: int) -> CycNumber:
-    return x.promoted(lcm(x.order, order))
-
-
 def operator_coords(mat: CycMatrix, d: int) -> tuple[CycNumber, ...]:
     """Flatten a Hermitian matrix to real coordinates, exactly.
 
@@ -104,12 +100,12 @@ def operator_coords(mat: CycMatrix, d: int) -> tuple[CycNumber, ...]:
         x = mat[i, i]
         if not x.is_real():
             raise ValueError("matrix has a non-real diagonal entry")
-        out.append(_to_order(x, order))
+        out.append(CycNumber.from_rational(x, order))
     for i in range(dim):
         for j in range(i + 1, dim):
             x = mat[i, j]
-            out.append(_to_order(x.real_part(), order))
-            out.append(_to_order(x.imag_part(), order))
+            out.append(CycNumber.from_rational(x.real_part(), order))
+            out.append(CycNumber.from_rational(x.imag_part(), order))
     return tuple(out)
 
 

@@ -139,11 +139,12 @@ def test_vertex_file_header_without_a_field_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command,missing", [
     (["vertices"], "Clifford image of vertex 6 not in the vertex set"),
     (["simulate", "c.json", "--shots", "10"], "Clifford image of vertex 6 not in the vertex set"),
-    (["decompose", "--state", "T"], "operator is in the polytope but no decomposition was found"),
+    (["decompose", "--state", "T"], "Clifford image of vertex 6 not in the vertex set"),
 ])
 def test_incomplete_vertex_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command, missing):
     """A vertex file without one of the d=2 vertices still certifies line by
-    line; what it lacks is reported as a usage error, not a traceback."""
+    line; the Clifford closure check at load names what it lacks, for every
+    command, as a usage error, not a traceback."""
     monkeypatch.chdir(tmp_path)
     run(capsys, "vertices", "-d", "2", "-n", "1", "--out", "v.txt")
     header, *rows = (tmp_path / "v.txt").read_text().splitlines()
@@ -325,3 +326,17 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus", "-d", "2", "-n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["vertices", "--seed", "1"],
+    ["vertices", "--mode", "numeric"],
+    ["decompose", "--state", "zero", "--seed", "1"],
+    ["verify", "--suite", "pauli", "--mode", "numeric"],
+    ["verify", "--suite", "pauli", "--vertices", "v.txt"],
+], ids=["vertices-seed", "vertices-mode", "decompose-seed", "verify-mode", "verify-vertices"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-d", "2", "-n", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -305,6 +305,39 @@ def test_qutrit_kernel_table_is_pinned(qutrit_exact_model):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUTRIT_KERNEL_TABLE_SHA256
 
 
+# sha256 of numeric_path_lines: the float reprs of 40 seeded numeric kernels
+# at each of d=3 and d=4, and the verify_circuit_born reports of 6 seeded
+# numeric circuits (3 at each d), recorded before the two modes shared the
+# kernel and Born-check loops.
+NUMERIC_PATH_SHA256 = "30d1ce01fa25541c497646f74e0534a843ad55b76db069fc80499888a8906dd3"
+
+
+def numeric_path_lines(vsets):
+    lines = []
+    for vset in vsets:
+        d = vset.d
+        model = HiddenVariableModel(vset, mode="numeric")
+        rng = random.Random(f"numeric-path/{d}")
+        groups = line_groups(d)
+        for _ in range(40):
+            alpha, gi = rng.randrange(len(vset)), rng.randrange(len(groups))
+            kern = model.kernel(alpha, groups[gi])
+            lines.append(repr((d, alpha, gi, kern.marginals, sorted(kern.entries.items()))))
+        gates = clifford_generators(d, 1)
+        states = [preset_state(name, d, 1) for name in preset_names(d, 1)[-2:]]
+        states.append(vset[rng.randrange(len(vset))].matrix)
+        for c, state in enumerate(states):
+            circ = random_circuit(d, 1, 4, rng, gates, state)
+            lines.append(repr((d, c, sorted(verify_circuit_born(circ, model).items()))))
+    return lines
+
+
+def test_numeric_kernels_and_born_reports_are_pinned(qutrit_model, ququart_model):
+    lines = numeric_path_lines([qutrit_model.vset, ququart_model.vset])
+    assert len(lines) == 86
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NUMERIC_PATH_SHA256
+
+
 
 def test_kernels_of_a_model_share_one_object_per_weight(qutrit_model):
     # every marginal and weight the model's kernels store is its one interned
@@ -711,7 +744,8 @@ def _corrupted_check(body: str) -> str:
 
 
 def test_checks_survive_python_optimize():
-    """A corrupted exact model fails the Born and normalization checks under -O."""
+    """A corrupted model fails the Born (exact and numeric) and normalization
+    checks under -O."""
     born = _corrupted_check("""
         vset = enumerate_vertices(lambda_hrep(2, 1))
         model = HiddenVariableModel(vset, mode="exact")
@@ -726,6 +760,21 @@ def test_checks_survive_python_optimize():
             print(exc)
     """)
     assert born == "Born aggregate differs from the oracle"
+    numeric_born = _corrupted_check("""
+        vset = enumerate_vertices(lambda_hrep(3, 1))
+        model = HiddenVariableModel(vset, mode="numeric")
+        rho = preset_state("strange", 3, 1)
+        op = MeasureOp(PhasePoint.unit_z(3, 1))
+        for alpha in model.decompose(rho).weights:
+            kern = model.kernel(alpha, op.group())
+            kern.marginals = kern.marginals[::-1]
+        try:
+            verify_circuit_born(Circuit(3, 1, rho, "strange", (op,)), model)
+        except VerificationError as exc:
+            print(exc)
+    """)
+    prefix = "Born aggregate off by "
+    assert numeric_born.startswith(prefix) and float(numeric_born[len(prefix):]) > 0.1
     kernel = _corrupted_check("""
         vset = enumerate_vertices(lambda_hrep(2, 1))
         model = HiddenVariableModel(vset, mode="exact")
