@@ -373,16 +373,23 @@ def suite_hvm(d: int, n: int, rng: random.Random, circuits: int = 8,
 
     # kernel normalization on fresh kernels
     points = [p for p in phase_space(d, n) if not p.is_zero()]
-    bad, tested = 0, 0
+    bad, kernels = 0, []
     for _ in range(6):
         alpha = rng.randrange(len(vset))
         group = MeasureOp(rng.choice(points)).group()
         kern = model.kernel(alpha, group)
-        tested += 1
+        kernels.append(kern)
         total = sum(float(w) for w in kern.entries.values())
         if abs(total - 1.0) > 1e-9:
             bad += 1
-    out.append(_check("kernel_normalization", bad == 0, f"{tested} kernels"))
+    out.append(_check("kernel_normalization", bad == 0, f"{len(kernels)} kernels"))
+
+    # the same kernels and every line at vertex 0 against the dense forms
+    lines = {g.key(): g for g in (MeasureOp(p).group() for p in points)}
+    kernels += [model.kernel(0, g) for g in lines.values()]
+    bad = sum(not _kernel_matches_dense(model, kern) for kern in kernels)
+    out.append(_check("kernel_marginals_and_branches", bad == 0,
+                      f"{len(kernels)} kernels, mode={mode}, {bad} failures"))
 
     # group action: permutations compose
     u, v = rng.choice(gens), rng.choice(gens)
@@ -404,6 +411,32 @@ def suite_hvm(d: int, n: int, rng: random.Random, circuits: int = 8,
     out.append(_check("sampling_chi_square", pval > 1e-3,
                       f"{shots} shots, chi2 = {stat:.2f}, p = {pval:.4f}"))
     return out
+
+
+def _kernel_matches_dense(model, kern) -> bool:
+    """Each marginal of kern equals Tr(Pi_I^r A) and each branch, divided
+    by it, reconstructs Pi A Pi / Tr(Pi A): exactly in exact mode, within
+    1e-9 in numeric mode."""
+    from .hvm import StateDistribution, VerificationError, trace_with_projector
+    from .stabilizer import group_projector_matrix
+
+    a_mat = model.vset[kern.alpha].matrix
+    try:
+        for ri, r in enumerate(kern.assignments):
+            t = trace_with_projector(kern.group, r, a_mat)
+            model._check(kern.marginals[ri], t, 1e-9, "", "")
+            branch = kern.branch(ri)
+            if t.is_zero():
+                if branch:
+                    return False
+                continue
+            scale = t.inverse() if model.mode == "exact" else 1.0 / float(t)
+            proj = group_projector_matrix(kern.group, r)
+            dist = StateDistribution(model.vset, {b: q * scale for b, q in branch}, model.mode)
+            model._check(dist, (proj @ a_mat @ proj).scale(t.inverse()), 1e-9, "", "")
+    except VerificationError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,17 @@ not zero.  Only the pivot rule differs between the paths:
 Prepared rows: a caller that solves many systems over the same rows (the
 vertex columns of a decomposition, against one target per state) wraps them
 once in ``PreparedRows``.  It records whether every entry is rational and the
-rows' common cyclotomic order, and, for each split order, the rational
-coefficient rows of every row with their all-zero flags.  Split rows are
-built on first use at each order, because a right-hand side of a higher
-order raises the order of the split.  ``feasible_point`` takes plain rows,
-wrapped on the fly, or prepared ones; only the rows are prepared, never a
-result.
+rows' common cyclotomic order, and keeps each row set the rational simplex
+solves as integer rows, each row scaled by the lcm of its own denominators:
+the rows themselves when they are rational, and for each split order the
+power-basis coefficient rows of every row, with None for an all-zero one.
+Split rows are built on first use at each order, because a right-hand side
+of a higher order raises the order of the split.  A solve then scales only
+its right-hand side: row i gets l_i = lcm(row lcm, b_i's denominator), the
+lcm of the whole row [A | b] as above, so the start tableau, and every
+pivot after it, is the one built from the Fraction rows.
+``feasible_point`` takes plain rows, wrapped on the fly, or prepared ones;
+only the rows are prepared, never a result.
 
 Integer storage: the integer tableau, cost row included, is one numpy
 array, and one array pivot runs on it whatever its dtype.  The run starts on
@@ -97,33 +102,45 @@ stats = {"rational": 0, "split": 0, "field": 0, "pivots": 0, "int64": 0, "restar
 INT64_BOUND = 1 << 31
 
 
+IntegerRow = tuple[list[int], int]
+
+
 class PreparedRows:
     """Constraint rows prepared once for many right-hand sides.
 
     `rational` says every entry is rational and `order` is the lcm of the
-    orders of the CycNumber entries (1 if none).  `split(order)` gives, per
-    row, its rational coefficient rows at that order and their all-zero
-    flags, built on first use.
+    orders of the CycNumber entries (1 if none).  `integer` gives the
+    integer rows of rational rows, and `split(order)` gives, per row, the
+    integer rows of its power-basis coefficients at that order (None for an
+    all-zero one); both are built on first use.
     """
 
-    __slots__ = ("rows", "rational", "order", "_splits")
+    __slots__ = ("rows", "rational", "order", "_integer", "_splits")
 
     def __init__(self, rows: Sequence[Sequence]):
         self.rows = rows
         cyc = [x for row in rows for x in row if isinstance(x, CycNumber)]
         self.rational = all(x.is_rational() for x in cyc)
         self.order = lcm(*(x.order for x in cyc))
-        self._splits: dict[int, list[tuple[list[list[Fraction]], list[bool]]]] = {}
+        self._integer: list[IntegerRow] | None = None
+        self._splits: dict[int, list[list[IntegerRow | None]]] = {}
 
-    def split(self, order: int) -> list[tuple[list[list[Fraction]], list[bool]]]:
-        """Per row, (coefficient rows, all-zero flags) in the power basis of
-        Q(zeta_order); order is a multiple of `self.order`."""
+    @property
+    def integer(self) -> list[IntegerRow]:
+        """Per row (all rational), its integer row."""
+        if self._integer is None:
+            self._integer = [_integer_row(row) for row in self.rows]
+        return self._integer
+
+    def split(self, order: int) -> list[list[IntegerRow | None]]:
+        """Per row, the integer rows of its coefficient rows in the power
+        basis of Q(zeta_order), None where one is all zero; order is a
+        multiple of `self.order`."""
         out = self._splits.get(order)
         if out is None:
-            out = []
-            for row in self.rows:
-                coefs = [list(r) for r in zip(*(_coefficients(x, order) for x in row))]
-                out.append((coefs, [not any(r) for r in coefs]))
+            out = [[_integer_row(r) if any(r) else None
+                    for r in zip(*(_coefficients(x, order) for x in row))]
+                   for row in self.rows]
             self._splits[order] = out
         return out
 
@@ -155,7 +172,7 @@ def feasible_point(a_rows: Rows, b: Sequence):
         return []
     if _is_rational(a, b):
         stats["rational"] += 1
-        return _rational_simplex(a.rows, b)
+        return _rational_simplex(a.integer, b)
     split = _split_rows(a, b)
     if split is not None:
         stats["split"] += 1
@@ -167,7 +184,8 @@ def feasible_point(a_rows: Rows, b: Sequence):
 
 
 def _split_rows(a_rows: Rows, b):
-    """The rational system of power-basis coefficients at one common order.
+    """The rational system of power-basis coefficients at one common order,
+    as (integer rows, right-hand side).
 
     None when a split row is all zero against a nonzero right-hand side,
     which makes the split system infeasible.
@@ -175,10 +193,10 @@ def _split_rows(a_rows: Rows, b):
     a = _prepared(a_rows)
     order = lcm(a.order, *(x.order for x in b if isinstance(x, CycNumber)))
     rows, rhs = [], []
-    for (coefs, zero), bi in zip(a.split(order), b):
-        for r, z, bk in zip(coefs, zero, _coefficients(bi, order)):
-            if not z:
-                rows.append(r)
+    for pieces, bi in zip(a.split(order), b):
+        for piece, bk in zip(pieces, _coefficients(bi, order)):
+            if piece is not None:
+                rows.append(piece)
                 rhs.append(bk)
             elif bk:
                 return None
@@ -190,34 +208,57 @@ def _coefficients(x, order: int) -> list[Fraction]:
     return [Fraction(c, x.den) for c in x.num]
 
 
-def _rational_simplex(a_rows, b):
-    tab, cost, det, basis = _integer_phase_one(a_rows, b)
+def _integer_row(row: Sequence) -> IntegerRow:
+    """(the entries times l, l) for the lcm l of the rational entries'
+    denominators."""
+    q = [x.as_fraction() if isinstance(x, CycNumber) else x for x in row]
+    den = lcm(*(x.denominator for x in q))
+    return [x.numerator * (den // x.denominator) for x in q], den
+
+
+def _rational_simplex(rows: Sequence[IntegerRow], b):
+    tab, cost, det, basis = _integer_phase_one(rows, b)
     return _point(tab, cost, basis, lambda v: Fraction(v, det))
 
 
-def _integer_phase_one(a_rows, b):
-    """Phase I on the integer tableau; the final (rows, cost, D, basis), in
-    Python ints.
+def _integer_tableau(rows: Sequence[IntegerRow], b) -> tuple[list[list[int]], int]:
+    """The start tableau (cost row last) of the integer rows against b, and
+    its D.
+
+    Row i of [A | b] is scaled by l_i = lcm(the row's l, b_i's denominator),
+    so only the right-hand side is scaled afresh, and flipped when b_i < 0;
+    D = prod(l_i), and each row is D / l_i times the scaled one, with D on
+    its artificial column.
+    """
+    m = len(rows)
+    scaled, dens = [], []
+    for (ints, den_row), bi in zip(rows, b):
+        bi = bi.as_fraction() if isinstance(bi, CycNumber) else bi
+        den = lcm(den_row, bi.denominator)
+        k, rhs = den // den_row, bi.numerator * (den // bi.denominator)
+        scaled.append((ints, -k, -rhs) if rhs < 0 else (ints, k, rhs))
+        dens.append(den)
+    det = prod(dens)
+    tab = []
+    for i, ((ints, k, rhs), den) in enumerate(zip(scaled, dens)):
+        f = det // den
+        fk = f * k
+        tab.append([fk * v for v in ints] + [det if j == i else 0 for j in range(m)] + [f * rhs])
+    _append_cost(tab, det, len(rows[0][0]))
+    return tab, det
+
+
+def _integer_phase_one(rows: Sequence[IntegerRow], b):
+    """Phase I on the integer tableau of the integer rows against b; the
+    final (rows, cost, D, basis), in Python ints.
 
     Each row is [x columns | artificial columns | rhs]; the cost row ends
     with the artificial sum.  Both are D times their rational counterparts.
     The run is on an int64 array while every entry stays below INT64_BOUND,
     and on an object array of Python ints from the start otherwise.
     """
-    m, n = len(a_rows), len(a_rows[0])
-    scaled, dens = [], []
-    for row, bi in zip(a_rows, b):
-        q = [x.as_fraction() if isinstance(x, CycNumber) else x for x in (*row, bi)]
-        den = lcm(*(x.denominator for x in q))
-        r = [x.numerator * (den // x.denominator) for x in q]
-        scaled.append([-v for v in r] if r[-1] < 0 else r)
-        dens.append(den)
-    det = prod(dens)
-    tab = []
-    for i, (r, den) in enumerate(zip(scaled, dens)):
-        f = det // den
-        tab.append([f * v for v in r[:n]] + [det if j == i else 0 for j in range(m)] + [f * r[n]])
-    _append_cost(tab, det, n)
+    n = len(rows[0][0])
+    tab, det = _integer_tableau(rows, b)
     fits = max(max(row) for row in tab) < INT64_BOUND and min(min(row) for row in tab) > -INT64_BOUND
     for dtype in (np.int64, object) if fits else (object,):
         arr = np.array(tab, dtype=dtype)

@@ -21,6 +21,16 @@ exact    feasibility LP over the vertex coordinates (exact_lp), on the
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
 
+A measurement kernel at vertex A computes its Born marginals
+Tr(Pi_I^r A) = (1/|I|) sum_{b in I} omega^{-r(b)} conj(x_b) without dense
+algebra, as sums over the |I| labels of the group of the Pauli coefficients
+x_b = Tr(T_b^dag A) that the vertex set holds (`label_index`); the value is
+real, so it is summed as its conjugate, omega^{r(b)} x_b, with no conj.  For
+a maximal group Pi_I^r has rank one, so Pi A Pi = Tr(Pi A) Pi and the
+post-state of outcome r is the cached projector Pi_I^r itself; otherwise
+(single Paulis at n >= 2, order-2 labels at d = 4) it is Pi A Pi / t.
+Either way the post-state is decomposed by `decompose`, with its checks.
+
 The checks on results (decomposition reconstruction, kernel normalization,
 the layered Born comparison) raise VerificationError, which is not an
 assert statement and so still runs under python -O.
@@ -89,8 +99,8 @@ from .exact_lp import feasible_point
 from .linalg import CycMatrix
 from .pauli import (CliffordElement, PhasePoint, omega_power, pauli_sum,
                     phase_space)
-from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
-                       pauli_coefficient)
+from .polytope import (VertexSet, cnc_phase_point, coord_order, membership,
+                       operator_coords, pauli_coefficient)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          assignment_is_valid, group_projector_matrix,
                          projector_matrix, projector_trace, value_assignments)
@@ -204,7 +214,8 @@ class TransitionKernel:
     """q_{alpha,I}(beta, r): weights over (vertex, assignment-index) pairs.
 
     In exact mode the weights and marginals are the model's interned
-    CycNumbers: equal values stored by one model are one object.
+    CycNumbers: equal values stored by one model are one object.  The
+    (beta, r_index) entry keys are shared by every kernel of the process.
     """
 
     alpha: int
@@ -257,8 +268,9 @@ class HiddenVariableModel:
 
     In exact mode the model interns the values its kernels store, marginals
     and weights t * w alike: one CycNumber per distinct (order, num, den),
-    shared by every kernel of the model, so a cached kernel costs its dict
-    of entries and little more.
+    shared by every kernel of the model.  In both modes kernels with equal
+    exact marginals share one marginals tuple, so a cached kernel costs its
+    dict of entries and little more.
     """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
@@ -272,6 +284,7 @@ class HiddenVariableModel:
         self._decompositions: dict[tuple, dict[int, object]] = {}
         self._tables: dict[PhasePoint, _PointTable] = {}
         self._values: dict[tuple, CycNumber] = {}
+        self._marginals: dict[tuple, tuple] = {}
 
     # -- state decomposition -------------------------------------------------
 
@@ -395,9 +408,6 @@ class HiddenVariableModel:
         self._perms[u] = perm
         return perm
 
-    def update(self, alpha: int, u: CliffordElement) -> int:
-        return int(self.clifford_permutation(u)[alpha])
-
     # -- measurement kernels ------------------------------------------------------
 
     def kernel(self, alpha: int, group: IsotropicSubgroup) -> TransitionKernel:
@@ -408,23 +418,32 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
-        probs, post = _born_transition(group, self.vset[alpha].matrix)
+        a_mat = self.vset[alpha].matrix
+        xs = self.vset.label_index[1][alpha]
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
-        for ri, t in enumerate(probs):
+        exact: list[tuple] = []
+        for ri, (r, terms) in enumerate(zip(_group_assignments(group), _marginal_terms(group))):
+            t = _label_sum(group, terms, xs)
+            if not t.is_real():
+                raise AssertionError("Born probability must be real")
             sgn = t.sign()
             if sgn < 0:
                 raise AssertionError("negative outcome weight on a polytope vertex")
-            t = self._value(t)
-            marginals.append(t)
+            value = self._value(t)
+            marginals.append(value)
+            exact.append((t.order, t.num, t.den))
             if sgn == 0:
                 continue
-            for beta, w in self.decompose(post(ri)).weights.items():
-                entries[(beta, ri)] = self._value(t * w)
+            proj = group_projector_matrix(group, r)
+            post = proj if group.is_maximal() else (proj @ a_mat @ proj).scale(t.inverse())
+            for beta, w in self.decompose(post).weights.items():
+                entries[_entry_key(beta, ri)] = self._value(value * w)
         self._check(sum(entries.values()), 1, 1e-9, "kernel normalization failed",
                     "kernel normalization failed")
         kern = self._kernels[key] = TransitionKernel(
-            alpha, group, _group_assignments(group), entries, tuple(marginals))
+            alpha, group, _group_assignments(group), entries,
+            self._marginals.setdefault(tuple(exact), tuple(marginals)))
         return kern
 
     def _value(self, x):
@@ -495,6 +514,46 @@ def _cyclic_group(point: PhasePoint) -> IsotropicSubgroup:
 def _group_assignments(group: IsotropicSubgroup) -> tuple[ValueAssignment, ...]:
     """The group's value assignments, one frozen tuple shared by its kernels."""
     return tuple(value_assignments(group))
+
+
+@lru_cache(maxsize=None)
+def _marginal_terms(group: IsotropicSubgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per value assignment r of the group, the (slot, r(b)) of each b in I,
+    where slot is b's position in phase_space order.
+
+    For Hermitian A with x_b = Tr(T_b^dag A), Tr(T_b A) = conj(x_b), so
+    Tr(Pi_I^r A) = (1/|I|) sum_b omega^{-r(b)} conj(x_b).  That value is
+    real, hence equal to its conjugate (1/|I|) sum_b omega^{r(b)} x_b, which
+    `_label_sum` evaluates.  The pairs hold only ints, so the cache holds
+    no objects for the collector to walk.
+    """
+    slots = {a: i for i, a in enumerate(phase_space(group.d, group.n))}
+    return tuple(tuple((slots[b], v) for b, v in r.values) for r in _group_assignments(group))
+
+
+@lru_cache(maxsize=None)
+def _scaled_roots(d: int, size: int) -> tuple[CycNumber, ...]:
+    """omega^k / size for k < d, declared at coord_order(d)."""
+    order = coord_order(d)
+    return tuple((omega_power(d, k) * Fraction(1, size)).promoted(order) for k in range(d))
+
+
+def _label_sum(group: IsotropicSubgroup, terms: Sequence[tuple[int, int]],
+               xs: Sequence[CycNumber]) -> CycNumber:
+    """(1/|I|) sum of omega^k * xs[slot] over the (slot, k) terms."""
+    roots = _scaled_roots(group.d, len(group))
+    (slot, k), *rest = terms
+    acc = roots[k] * xs[slot]
+    for slot, k in rest:
+        acc = acc + roots[k] * xs[slot]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _entry_key(beta: int, ri: int) -> tuple[int, int]:
+    """The (beta, r_index) key of a kernel entry, one tuple per pair for the
+    life of the process, so kernels share their keys."""
+    return (beta, ri)
 
 
 @dataclass(frozen=True)

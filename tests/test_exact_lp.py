@@ -16,9 +16,10 @@ from lambda_hvm.cyclotomic import CycNumber, sqrt_int
 from lambda_hvm.exact_lp import feasible_point
 from lambda_hvm.hvm import HiddenVariableModel, MeasureOp, random_circuit
 from lambda_hvm.pauli import clifford_generators, phase_space
-from lambda_hvm.polytope import enumerate_vertices, lambda_hrep, operator_coords
-from lambda_hvm.presets import preset_state
-from tests_support import reference_field_simplex, reference_phase_one, reference_simplex
+from lambda_hvm.polytope import enumerate_vertices, lambda_hrep, operator_coords, stabilizer_states
+from lambda_hvm.presets import preset_names, preset_state
+from tests_support import (reference_field_simplex, reference_phase_one, reference_simplex,
+                           reference_split_rows, reference_start_tableau)
 
 # field order -> the square root generating its real subfield
 FIELDS = {8: 2, 12: 3}
@@ -188,7 +189,7 @@ def assert_matches_reference(rows, b):
     assert x is None or all(type(w) is Fraction for w in x)
     assert pivots == ref_pivots
 
-    tab, cost, det, basis = exact_lp._integer_phase_one(rows, b)
+    tab, cost, det, basis = exact_lp._integer_phase_one(exact_lp.PreparedRows(rows).integer, b)
     ref_tab, ref_rhs, ref_cost, ref_obj, ref_basis, _ = reference_phase_one(rows, b)
     assert det > 0 and basis == ref_basis
     assert all(type(v) is int for row in (*tab, cost) for v in row)
@@ -333,6 +334,32 @@ def test_vertex_set_lp_rows_are_the_transposed_coordinates():
         [[Fraction(1)] * len(cols)]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_prepared_integer_rows_give_the_fraction_rows_start_tableau(d):
+    # the vertex-set rows against every stabilizer state and the magic
+    # presets: each solve's start tableau, on the rational or the split
+    # path, is the one the Fraction rows gave when scaled on every solve
+    vset = enumerate_vertices(lambda_hrep(d, 1))
+    prepared = vset.lp_rows
+    states = [s.matrix for s in stabilizer_states(d, 1)]
+    states += [preset_state(name, d, 1) for name in preset_names(d, 1)]
+    paths = set()
+    for state in states:
+        rhs = [*operator_coords(state, d), Fraction(1)]
+        if exact_lp._is_rational(prepared, rhs):
+            system, ref = (prepared.integer, rhs), (prepared.rows, rhs)
+            paths.add("rational")
+        else:
+            system = exact_lp._split_rows(prepared, rhs)
+            ref = reference_split_rows(prepared.rows, rhs)
+            assert (system is None) == (ref is None)
+            if system is None:
+                continue
+            paths.add("split")
+        assert exact_lp._integer_tableau(*system) == reference_start_tableau(*ref)
+    assert paths == ({"rational"} if d == 2 else {"split"})
+
+
 def _recorded_lps(monkeypatch, run):
     """The distinct systems that feasible_point receives from the model during
     run(), with prepared rows unwrapped to their plain rows."""
@@ -351,7 +378,8 @@ def _recorded_lps(monkeypatch, run):
 
 
 def _rational_systems(lps):
-    """Each system as the rational simplex sees it: itself, or its split rows."""
+    """Each system as the rational simplex sees it: itself, or its split
+    rows as Fraction rows."""
     out = []
     for rows, b in lps:
         if exact_lp._is_rational(rows, b):
@@ -359,7 +387,8 @@ def _rational_systems(lps):
         else:
             split = exact_lp._split_rows(rows, b)
             if split is not None:
-                out.append(split)
+                int_rows, rhs = split
+                out.append(([[Fraction(v, den) for v in ints] for ints, den in int_rows], rhs))
     return out
 
 

@@ -24,12 +24,14 @@ from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
-from lambda_hvm.polytope import VertexInfo, VertexSet, enumerate_vertices, lambda_hrep
+from lambda_hvm.polytope import (VertexInfo, VertexSet, coord_order, enumerate_vertices,
+                                 lambda_hrep, operator_coords)
 from lambda_hvm.presets import preset_names, preset_state
-from lambda_hvm.stabilizer import (IsotropicSubgroup, group_projector_matrix,
-                                   value_assignments)
-from tests_support import (reference_clifford_permutation, reference_oracle_simulate,
-                           reference_run_shots, reference_simulate_run)
+from lambda_hvm.stabilizer import (IsotropicSubgroup, enumerate_isotropics,
+                                   group_projector_matrix, value_assignments)
+from tests_support import (random_full_matrix, reference_clifford_permutation,
+                           reference_oracle_simulate, reference_run_shots,
+                           reference_simulate_run, update)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +132,7 @@ def test_clifford_update_examples(qubit_model):
     y = pauli_matrix(PhasePoint(2, 1, (1,), (1,)))
     ident = CycMatrix.identity(2)
     a0 = qubit_model.vset.lookup_matrix((ident + x + y + z).scale(Fraction(1, 2)))
-    b0 = qubit_model.update(a0, h)
+    b0 = update(qubit_model, a0, h)
     assert qubit_model.vset[b0].matrix == (ident + x - y + z).scale(Fraction(1, 2))
     # identity leaves every vertex alone
     from lambda_hvm.pauli import clifford_from_matrix
@@ -372,6 +374,95 @@ def test_kernel_normalization_and_marginals(qutrit_model):
         for ri, r in enumerate(kern.assignments):
             t = trace_with_projector(group, r, qutrit_model.vset[alpha].matrix)
             assert abs(float(kern.marginals[ri]) - float(t)) < 1e-12
+
+
+# -- label-space marginals and rank-one post-states against the dense forms ---
+
+
+def _key(x):
+    return (x.order, x.num, x.den)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_label_space_marginals_equal_the_dense_trace(request, d):
+    # every (vertex, line, outcome): 48, 972 and 7680 of them at d = 2, 3, 4
+    vset = request.getfixturevalue({2: "qubit_model", 3: "qutrit_model", 4: "ququart_model"}[d]).vset
+    coefficients = vset.label_index[1]
+    checked = 0
+    for group in line_groups(d):
+        for r, terms in zip(value_assignments(group), hvm._marginal_terms(group)):
+            for v, xs in zip(vset, coefficients):
+                t = hvm._label_sum(group, terms, xs)
+                assert _key(t) == _key(trace_with_projector(group, r, v.matrix))
+                checked += 1
+    assert checked == {2: 48, 3: 972, 4: 7680}[d]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rank_one_post_state_is_the_projector(request, d):
+    # for a maximal group the post-state Pi A Pi / t has the coordinates of
+    # Pi itself, so the kernel decomposes the same operator either way
+    vset = request.getfixturevalue({2: "qubit_model", 3: "qutrit_model", 4: "ququart_model"}[d]).vset
+    checked = 0
+    for group in line_groups(d):
+        if not group.is_maximal():
+            continue
+        for r in value_assignments(group):
+            proj = group_projector_matrix(group, r)
+            want = [_key(x) for x in operator_coords(proj, d)]
+            for v in vset:
+                t = trace_with_projector(group, r, v.matrix)
+                if t.sign() > 0:
+                    post = (proj @ v.matrix @ proj).scale(t.inverse())
+                    assert [_key(x) for x in operator_coords(post, d)] == want
+                    checked += 1
+    assert checked > len(vset)
+
+
+def _random_hermitian(dim, order, rng):
+    m = random_full_matrix(dim, order, rng)
+    return m + m.dagger()
+
+
+@pytest.mark.parametrize("d, n", [(5, 1), (2, 2)])
+def test_maximal_projectors_have_rank_one(d, n):
+    # Pi X Pi = Tr(Pi X) Pi for every maximal group and random Hermitian X
+    rng = random.Random(f"hvm/rank-one/{d}/{n}")
+    order = coord_order(d)
+    xs = [_random_hermitian(d ** n, order, rng) for _ in range(2)]
+    for group in enumerate_isotropics(d, n, only_maximal=True):
+        for r in value_assignments(group):
+            proj = group_projector_matrix(group, r)
+            for x in xs:
+                assert proj @ x @ proj == proj.scale(trace_with_projector(group, r, x))
+
+
+def test_an_order_two_group_at_d4_is_not_rank_one():
+    # the dense post-state path stays for groups that are not maximal
+    group = MeasureOp(PhasePoint(4, 1, (2,), (0,))).group()
+    assert not group.is_maximal()
+    x = _random_hermitian(4, coord_order(4), random.Random("hvm/rank-two"))
+    r = value_assignments(group)[0]
+    proj = group_projector_matrix(group, r)
+    assert proj @ x @ proj != proj.scale(trace_with_projector(group, r, x))
+
+
+def test_kernels_share_entry_keys_and_marginal_tuples(qutrit_exact_model):
+    # fresh models share the (beta, r_index) key objects; within a model,
+    # kernels with equal marginals share one marginals tuple
+    vset = qutrit_exact_model.vset
+    group = line_groups(3)[1]
+    first = HiddenVariableModel(vset, mode="exact").kernel(7, group)
+    second = HiddenVariableModel(vset, mode="exact").kernel(7, group)
+    assert first is not second and list(first.entries) == list(second.entries)
+    assert all(a is b for a, b in zip(first.entries, second.entries))
+    for mode in ("exact", "numeric"):
+        model = HiddenVariableModel(vset, mode=mode)
+        tuples: dict = {}
+        for alpha in range(len(vset)):
+            marginals = model.kernel(alpha, group).marginals
+            tuples.setdefault(repr(marginals), set()).add(id(marginals))
+        assert all(len(ids) == 1 for ids in tuples.values()) and len(tuples) < len(vset) // 10
 
 
 def test_oracle_examples():

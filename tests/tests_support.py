@@ -55,6 +55,11 @@ def reference_sample(rng, items):
     return items[-1][0]
 
 
+def update(model, alpha, u):
+    """The vertex that Clifford element u sends vertex alpha to."""
+    return int(model.clifford_permutation(u)[alpha])
+
+
 def reference_simulate_run(circuit, model, p_in, rng, seed):
     """The op-by-op shot loop over cached kernels and permutations that the
     batched sampler replaced, kept to compare it against."""
@@ -62,7 +67,7 @@ def reference_simulate_run(circuit, model, p_in, rng, seed):
     outcomes = []
     for op in circuit.ops:
         if isinstance(op, CliffordOp):
-            alpha = model.update(alpha, op.element)
+            alpha = update(model, alpha, op.element)
         else:
             kern = model.kernel(alpha, op.group())
             beta, ri = reference_sample(
@@ -184,6 +189,53 @@ def reference_simplex(a_rows, b):
 
 def _fraction(x):
     return x.as_fraction() if isinstance(x, CycNumber) else Fraction(x)
+
+
+def reference_split_rows(a_rows, b):
+    """The split system of Fraction rows that the integer split rows
+    replaced: the power-basis coefficient rows of every row at one common
+    order, all-zero ones dropped; None when one reads 0 = c with c != 0."""
+    cyc = [x for x in (*(x for row in a_rows for x in row), *b) if isinstance(x, CycNumber)]
+    order = lcm(*(x.order for x in cyc))
+
+    def coefficients(x):
+        x = CycNumber.from_rational(x, order)
+        return [Fraction(c, x.den) for c in x.num]
+
+    rows, rhs = [], []
+    for row, bi in zip(a_rows, b):
+        for r, bk in zip(zip(*(coefficients(x) for x in row)), coefficients(bi)):
+            if any(r):
+                rows.append(list(r))
+                rhs.append(bk)
+            elif bk:
+                return None
+    return rows, rhs
+
+
+def reference_start_tableau(a_rows, b):
+    """The start tableau (cost row last) and D that the integer simplex
+    built from Fraction rows on every solve: row i of [A | b] scaled by the
+    lcm l_i of its denominators and flipped to b_i >= 0, D = prod(l_i), each
+    row times D / l_i, D on its artificial column."""
+    m, n = len(a_rows), len(a_rows[0])
+    scaled, dens = [], []
+    for row, bi in zip(a_rows, b):
+        q = [_fraction(x) for x in (*row, bi)]
+        den = lcm(*(x.denominator for x in q))
+        r = [x.numerator * (den // x.denominator) for x in q]
+        scaled.append([-v for v in r] if r[-1] < 0 else r)
+        dens.append(den)
+    det = 1
+    for den in dens:
+        det *= den
+    tab = []
+    for i, (r, den) in enumerate(zip(scaled, dens)):
+        f = det // den
+        tab.append([f * v for v in r[:n]] + [det if j == i else 0 for j in range(m)] + [f * r[n]])
+    cost = [sum(col) for col in zip(*tab)]
+    cost[n:-1] = [c - det for c in cost[n:-1]]
+    return tab + [cost], det
 
 
 def reference_field_simplex(a_rows, b):
