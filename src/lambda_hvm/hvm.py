@@ -21,15 +21,15 @@ exact    feasibility LP over the vertex coordinates (exact_lp), on the
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
 
-A measurement kernel at vertex A computes its Born marginals
-Tr(Pi_I^r A) = (1/|I|) sum_{b in I} omega^{-r(b)} conj(x_b) without dense
-algebra, as sums over the |I| labels of the group of the Pauli coefficients
-x_b = Tr(T_b^dag A) that the vertex set holds (`label_index`); the value is
-real, so it is summed as its conjugate, omega^{r(b)} x_b, with no conj.  For
-a maximal group Pi_I^r has rank one, so Pi A Pi = Tr(Pi A) Pi and the
-post-state of outcome r is the cached projector Pi_I^r itself; otherwise
-(single Paulis at n >= 2, order-2 labels at d = 4) it is Pi A Pi / t.
-Either way the post-state is decomposed by `decompose`, with its checks.
+Kernels, oracle and layered check share one Born rule, `_born_transition`:
+Tr(Pi_I^r rho) = (1/|I|) sum_{b in I} omega^{-r(b)} conj(x_b) is summed,
+with no dense algebra, over the group's |I| Pauli coefficients
+x_b = Tr(T_b^dag rho), a vertex's from `label_index` and a state's computed
+once per state; being real, it is summed as its conjugate, omega^{r(b)} x_b.
+For a maximal group Pi_I^r has rank one, so Pi rho Pi = Tr(Pi rho) Pi and
+the post-state of outcome r is the cached projector itself; otherwise
+(single Paulis at n >= 2, order-2 labels at d = 4) it is Pi rho Pi / p.  A
+kernel decomposes each post-state by `decompose`, with its checks.
 
 The checks on results (decomposition reconstruction, kernel normalization,
 the layered Born comparison) raise VerificationError, which is not an
@@ -71,15 +71,16 @@ The model's `stats` count kernel, permutation and decomposition cache hits
 and misses, table rows filled and shots run, once per call and never per
 shot.
 
-The oracle evaluates the Born chain rule densely and exactly, branch by
-branch, but computes each op's transition only once per distinct state in a
-memo that lives for one op of one call.  The memo is keyed on the exact
+The oracle evaluates the Born chain rule exactly, branch by branch, but
+computes each op's transition only once per distinct state in a memo that
+lives for one op of one call.  The memo is keyed on the exact
 representation (order, num, den) of the state's entries, so the branches,
 their probabilities and the floats `oracle_distribution` sums are
-byte-identical to evaluating every branch on its own.  `oracle_stats` counts,
-for the life of the process, the transitions computed, the branch-layers
-served from the memo and the final branches returned.  `verify_circuit_born`
-runs the same Born-transition helper on the one branch it follows.
+byte-identical to evaluating every branch on its own (a projector state
+equals Pi rho Pi / p, perhaps declared at another order).  `oracle_stats`
+counts, for the life of the process, the transitions computed, the
+branch-layers served from the memo and the final branches returned.
+`verify_circuit_born` runs the same Born transition on the branch it follows.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ from .cyclotomic import CycNumber
 from .exact_lp import feasible_point
 from .linalg import CycMatrix
 from .pauli import (CliffordElement, PhasePoint, omega_power, pauli_sum,
-                    phase_space)
-from .polytope import (VertexSet, cnc_phase_point, coord_order, membership,
-                       operator_coords, pauli_coefficient)
+                    phase_slots, phase_space)
+from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
+                       pauli_coefficient)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          assignment_is_valid, group_projector_matrix,
                          projector_matrix, projector_trace, value_assignments)
@@ -418,15 +419,12 @@ class HiddenVariableModel:
             self.stats["kernel_hits"] += 1
             return kern
         self.stats["kernel_misses"] += 1
-        a_mat = self.vset[alpha].matrix
-        xs = self.vset.label_index[1][alpha]
+        probs, post = _born_transition(group, self.vset[alpha].matrix,
+                                       self.vset.label_index[1][alpha])
         entries: dict[tuple[int, int], object] = {}
         marginals: list[object] = []
         exact: list[tuple] = []
-        for ri, (r, terms) in enumerate(zip(_group_assignments(group), _marginal_terms(group))):
-            t = _label_sum(group, terms, xs)
-            if not t.is_real():
-                raise AssertionError("Born probability must be real")
+        for ri, t in enumerate(probs):
             sgn = t.sign()
             if sgn < 0:
                 raise AssertionError("negative outcome weight on a polytope vertex")
@@ -435,9 +433,7 @@ class HiddenVariableModel:
             exact.append((t.order, t.num, t.den))
             if sgn == 0:
                 continue
-            proj = group_projector_matrix(group, r)
-            post = proj if group.is_maximal() else (proj @ a_mat @ proj).scale(t.inverse())
-            for beta, w in self.decompose(post).weights.items():
+            for beta, w in self.decompose(post(ri)).weights.items():
                 entries[_entry_key(beta, ri)] = self._value(value * w)
         self._check(sum(entries.values()), 1, 1e-9, "kernel normalization failed",
                     "kernel normalization failed")
@@ -519,23 +515,18 @@ def _group_assignments(group: IsotropicSubgroup) -> tuple[ValueAssignment, ...]:
 @lru_cache(maxsize=None)
 def _marginal_terms(group: IsotropicSubgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per value assignment r of the group, the (slot, r(b)) of each b in I,
-    where slot is b's position in phase_space order.
-
-    For Hermitian A with x_b = Tr(T_b^dag A), Tr(T_b A) = conj(x_b), so
-    Tr(Pi_I^r A) = (1/|I|) sum_b omega^{-r(b)} conj(x_b).  That value is
-    real, hence equal to its conjugate (1/|I|) sum_b omega^{r(b)} x_b, which
-    `_label_sum` evaluates.  The pairs hold only ints, so the cache holds
-    no objects for the collector to walk.
+    slot being b's position in `phase_slots`: the terms `_label_sum` adds.
+    The pairs hold only ints, so the cache holds no objects for the
+    collector to walk.
     """
-    slots = {a: i for i, a in enumerate(phase_space(group.d, group.n))}
+    slots = phase_slots(group.d, group.n)
     return tuple(tuple((slots[b], v) for b, v in r.values) for r in _group_assignments(group))
 
 
 @lru_cache(maxsize=None)
 def _scaled_roots(d: int, size: int) -> tuple[CycNumber, ...]:
-    """omega^k / size for k < d, declared at coord_order(d)."""
-    order = coord_order(d)
-    return tuple((omega_power(d, k) * Fraction(1, size)).promoted(order) for k in range(d))
+    """omega^k / size for k < d, at the order of omega: a sum keeps xs's order."""
+    return tuple(omega_power(d, k) * Fraction(1, size) for k in range(d))
 
 
 def _label_sum(group: IsotropicSubgroup, terms: Sequence[tuple[int, int]],
@@ -704,26 +695,34 @@ def _state_key(mat: CycMatrix) -> tuple:
     return tuple((x.order, x.num, x.den) for row in mat.data for x in row)
 
 
-def _born_transition(group: IsotropicSubgroup, rho: CycMatrix
+def _born_transition(group: IsotropicSubgroup, rho: CycMatrix, xs: Sequence[CycNumber]
                      ) -> tuple[list[CycNumber], Callable[[int], CycMatrix]]:
-    """(probabilities, post) of measuring group on rho.
+    """(probabilities, post) of measuring group on the Hermitian rho whose
+    x_b = Tr(T_b^dag rho) xs holds by slot, for vertices and states alike.
 
     probabilities[ri] = Tr(Pi_I^r rho) for the ri-th of the group's value
-    assignments; post(ri) = Pi_I^r rho Pi_I^r / probabilities[ri], the state
-    after that outcome, built only when asked for.
+    assignments, a label sum over xs; post(ri) = Pi_I^r rho Pi_I^r /
+    probabilities[ri], built only when asked for: the cached projector
+    itself for a maximal group (rank one), else the dense product.
     """
     probs = []
-    for r in _group_assignments(group):
-        p = trace_with_projector(group, r, rho)
+    for terms in _marginal_terms(group):
+        p = _label_sum(group, terms, xs)
         if not p.is_real():
             raise AssertionError("Born probability must be real")
         probs.append(p)
 
     def post(ri: int) -> CycMatrix:
         proj = group_projector_matrix(group, _group_assignments(group)[ri])
-        return (proj @ rho @ proj).scale(probs[ri].inverse())
+        return proj if group.is_maximal() else (proj @ rho @ proj).scale(probs[ri].inverse())
 
     return probs, post
+
+
+def _group_coefficients(group: IsotropicSubgroup, rho: CycMatrix) -> dict[int, CycNumber]:
+    """x_b = Tr(T_b^dag rho) for the labels b of the group, keyed by slot."""
+    slots = phase_slots(group.d, group.n)
+    return {slots[b]: pauli_coefficient(rho, b) for b in group.elements}
 
 
 def _oracle_moves(op: Union[CliffordOp, MeasureOp], rho: CycMatrix) -> list[tuple]:
@@ -734,7 +733,7 @@ def _oracle_moves(op: Union[CliffordOp, MeasureOp], rho: CycMatrix) -> list[tupl
         image = op.element.apply(rho)
         return [((), None, image, _state_key(image))]
     group = op.group()
-    probs, post = _born_transition(group, rho)
+    probs, post = _born_transition(group, rho, _group_coefficients(group, rho))
     moves = []
     for ri, (r, p) in enumerate(zip(_group_assignments(group), probs)):
         if p.sign() > 0:
@@ -747,7 +746,7 @@ oracle_stats = {"transitions": 0, "reused": 0, "branches": 0}
 
 
 def oracle_simulate(circuit: Circuit) -> list[OracleBranch]:
-    """Dense exact chain-rule evaluation of every outcome sequence.
+    """Exact chain-rule evaluation of every outcome sequence.
 
     Each op's transition (the Clifford image, or the outcomes of positive
     Born probability with their post-states) is computed once per distinct
@@ -820,7 +819,7 @@ def verify_circuit_born(circuit: Circuit, model: HiddenVariableModel,
             continue
         group = op.group()
         kerns = {a: model.kernel(a, group) for a in dist.weights}
-        probs_qm, post = _born_transition(group, rho)
+        probs_qm, post = _born_transition(group, rho, _group_coefficients(group, rho))
         for ri, p_qm in enumerate(probs_qm):
             # the Born aggregate sum_alpha p(alpha) Q(r | alpha)
             p_sim = sum(kerns[a].marginals[ri] * w for a, w in dist.weights.items())

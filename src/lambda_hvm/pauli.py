@@ -42,6 +42,7 @@ from .linalg import CycMatrix
 __all__ = [
     "PhasePoint",
     "phase_space",
+    "phase_slots",
     "symplectic_product",
     "beta",
     "beta_mod_d",
@@ -162,6 +163,12 @@ def phase_space(d: int, n: int) -> Iterator[PhasePoint]:
     for az in itertools.product(range(d), repeat=n):
         for ax in itertools.product(range(d), repeat=n):
             yield PhasePoint(d, n, az, ax)
+
+
+@lru_cache(maxsize=None)
+def phase_slots(d: int, n: int) -> dict[PhasePoint, int]:
+    """Each point's position (slot) in phase_space(d, n), one shared map."""
+    return {a: i for i, a in enumerate(phase_space(d, n))}
 
 
 # ---------------------------------------------------------------------------

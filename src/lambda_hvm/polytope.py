@@ -32,7 +32,7 @@ from .dd import extreme_rays
 from .exact_lp import PreparedRows
 from .linalg import CycMatrix, dot, exact_rank
 from .pauli import (PhasePoint, omega_power, pauli_mono, pauli_order,
-                    phase_space)
+                    phase_slots, phase_space)
 from .stabilizer import (IsotropicSubgroup, StabilizerProjector,
                          ValueAssignment, closure_under_inference,
                          enumerate_isotropics, projector, projector_matrix,
@@ -452,7 +452,7 @@ class VertexSet:
         index is as exact as `index`.
         """
         order = coord_order(self.d)
-        slots = {a: i for i, a in enumerate(phase_space(self.d, self.n))}
+        slots = phase_slots(self.d, self.n)
         coefficients = [tuple(_in_field(pauli_coefficient(v.matrix, a), order) for a in slots)
                         for v in self.vertices]
         index = {tuple((x.num, x.den) for x in xs): v.index

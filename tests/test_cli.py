@@ -322,6 +322,24 @@ def test_verify_hvm_suite(capsys, d):
     assert f"mode={'exact' if d == '2' else 'numeric'}" in layered["detail"]
 
 
+def test_verify_hvm_suite_reports_an_outcome_outside_the_oracle_support(capsys, monkeypatch):
+    """A sampler that records outcome d, which no measurement has, fails the
+    suite's chi-square check in the JSON report instead of raising."""
+    from lambda_hvm import hvm
+    from lambda_hvm.cli import EXIT_VERIFY
+
+    fill = hvm._PointTable.fill
+    monkeypatch.setattr(hvm._PointTable, "fill", lambda table, alpha, sums, nxt, out:
+                        fill(table, alpha, sums, nxt, [o + 2 for o in out]))
+    code, stdout, err = run(capsys, "verify", "--suite", "hvm", "-d", "2", "-n", "1")
+    assert code == EXIT_VERIFY
+    assert err == "error: verification suite reported failures; see the JSON report\n"
+    doc = json.loads(stdout)
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert not doc["passed"] and [c["name"] for c in failed] == ["sampling_chi_square"]
+    assert "outside the oracle support" in failed[0]["detail"]
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus", "-d", "2", "-n", "1"])

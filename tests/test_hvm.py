@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lambda_hvm import hvm
+from lambda_hvm.checks import random_traceless
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             HiddenVariableModel, MeasureOp, StateDistribution,
@@ -25,7 +26,7 @@ from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
 from lambda_hvm.linalg import CycMatrix
 from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
 from lambda_hvm.polytope import (VertexInfo, VertexSet, coord_order, enumerate_vertices,
-                                 lambda_hrep, operator_coords)
+                                 lambda_hrep, operator_coords, stabilizer_states)
 from lambda_hvm.presets import preset_names, preset_state
 from lambda_hvm.stabilizer import (IsotropicSubgroup, enumerate_isotropics,
                                    group_projector_matrix, value_assignments)
@@ -54,10 +55,11 @@ def ququart_model():
     return HiddenVariableModel(enumerate_vertices(lambda_hrep(4, 1)), mode="numeric")
 
 
-def line_groups(d):
-    """The d + 1 single-qudit measurement lines <p>, in canonical order."""
+def line_groups(d, n=1):
+    """The measurement groups <p> of the nonzero labels, in canonical order:
+    the d + 1 lines at n = 1."""
     groups = {}
-    for p in phase_space(d, 1):
+    for p in phase_space(d, n):
         if not p.is_zero():
             g = MeasureOp(p).group()
             groups.setdefault(g.key(), g)
@@ -447,6 +449,41 @@ def test_an_order_two_group_at_d4_is_not_rank_one():
     assert proj @ x @ proj != proj.scale(trace_with_projector(group, r, x))
 
 
+def _born_cases(d, n):
+    """Stabilizer states (the first 60 at n = 2), the presets and three
+    seeded random trace-one Hermitian operators."""
+    rng = random.Random(f"hvm/born/{d}/{n}")
+    dim = d ** n
+    states = [s.matrix for s in stabilizer_states(d, n)[:60]]
+    states += [preset_state(name, d, n) for name in preset_names(d, n)]
+    mixed = CycMatrix.identity(dim, Fraction(1, dim))
+    states += [mixed + random_traceless(d, n, rng).scale(Fraction(1, 8 * dim)) for _ in range(3)]
+    return states
+
+
+@pytest.mark.parametrize("d, n, count", [(2, 1, 78), (3, 1, 228), (4, 1, 990), (5, 1, 1050),
+                                         (2, 2, 1950), (3, 2, 7800)])
+def test_born_transition_equals_the_dense_rule(d, n, count):
+    """The one Born rule against the dense one: label-sum probabilities equal
+    the projector traces in (order, num, den), a maximal group's post-state
+    is its cached projector, and every post-state equals Pi rho Pi / p (the
+    order-2 lines at d = 4 and the single Paulis at n = 2 included)."""
+    checked = 0
+    for rho in _born_cases(d, n):
+        for group in line_groups(d, n):
+            probs, post = hvm._born_transition(group, rho, hvm._group_coefficients(group, rho))
+            for ri, (r, p) in enumerate(zip(value_assignments(group), probs)):
+                assert _key(p) == _key(trace_with_projector(group, r, rho))
+                checked += 1
+                if p.is_zero():
+                    continue
+                proj = group_projector_matrix(group, r)
+                if group.is_maximal():
+                    assert post(ri) is proj
+                assert post(ri) == (proj @ rho @ proj).scale(p.inverse())
+    assert checked == count
+
+
 def test_kernels_share_entry_keys_and_marginal_tuples(qutrit_exact_model):
     # fresh models share the (beta, r_index) key objects; within a model,
     # kernels with equal marginals share one marginals tuple
@@ -487,15 +524,21 @@ def test_oracle_examples():
 
 
 def _branch_lines(branches):
-    return [(br.outcomes, br.probability.serialize(),
-             tuple(x.serialize() for row in br.state.data for x in row)) for br in branches]
+    return [(br.outcomes, br.probability.serialize()) for br in branches]
 
 
 def _assert_oracle_equals_reference(circ):
-    """oracle_simulate gives the reference loop's branches in order, and
-    oracle_distribution its per-outcome float sums, bit for bit."""
+    """oracle_simulate gives the reference loop's branches in order, with
+    their probabilities bit for bit and their states equal in value, and
+    oracle_distribution its per-outcome float sums, bit for bit.
+
+    States are compared by value: a rank-one post-state is the cached
+    projector, which equals the reference's Pi rho Pi / p but may declare
+    its entries at another cyclotomic order (4; 1, 0 against 24; 1, 0, ...)."""
     expected = reference_oracle_simulate(circ)
-    assert _branch_lines(oracle_simulate(circ)) == _branch_lines(expected)
+    got = oracle_simulate(circ)
+    assert _branch_lines(got) == _branch_lines(expected)
+    assert all(br.state == ref.state for br, ref in zip(got, expected))
     sums: dict = {}
     for br in expected:
         sums[br.outcomes] = sums.get(br.outcomes, 0.0) + br.prob_float()
