@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("circuit", help="circuit JSON file")
     p_sim.add_argument("--shots", type=int, default=10000)
     p_sim.add_argument("--stats", action="store_true",
-                       help="add the model's cache counters and the LP, certificate and "
-                            "oracle counts of this command to the JSON summary")
+                       help="add the model's cache and decomposition-path counters and the LP, "
+                            "certificate and oracle counts of this command to the JSON summary")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath
-
 __all__ = [
     "CycNumber",
     "ComplexInterval",
@@ -196,6 +194,10 @@ def _float_roots(order: int) -> tuple[complex, ...]:
 
 
 def _eval_interval(order: int, nums: tuple[int, ...], den: int, prec: int) -> ComplexInterval:
+    # mpmath holds about 8 MB once imported; exact runs whose signs are all
+    # rational (cold d=3 kernels, for one) never need an enclosure
+    import mpmath
+
     iv = mpmath.iv
     old = iv.prec
     iv.prec = prec

@@ -11,12 +11,23 @@ tolerance) and how the layered Born check normalises a posterior (by the
 exact Born probability, or by the posterior's own float sum).  Decompositions
 are found by:
 
-exact    feasibility LP over the vertex coordinates (exact_lp), on the
-         vertex set's rows prepared once: the rational simplex on the
-         coordinates, or on their power-basis coefficients when some are
-         irrational, and the field simplex on the Q(zeta) columns with
-         exact sign tests only when no rational point exists; weights are
-         Fractions or real cyclotomic numbers, and kernels carry exact
+exact    (decomposition version 2) a pure stabilizer state Pi_I^r, such as
+         the post-state of every Lagrangian measurement, in closed form
+         with no LP: Pi_I^r = (1/|I|) sum_{a in I} T_a V T_a^dag for any
+         vertex V on its minimal face (the average lies on that face and
+         commutes with every T_a, a in I, so it is a combination of the
+         Pi_I^s, and the facets Pi_I^s, s != r, are tight there).  V is
+         the first vertex whose certificate mask contains the state's
+         tight facets (`VertexSet.stabilizer_faces`), each image is found
+         by its label action x_b -> omega^{[a,b]} x_b in `label_index`,
+         and the weights are multiplicity / |I|.  Any other operator by a feasibility LP
+         over the vertex coordinates (exact_lp), on the vertex set's rows
+         prepared once: the rational simplex on the coordinates, or on
+         their power-basis coefficients when some are irrational, and the
+         field simplex on the Q(zeta) columns with exact sign tests only
+         when no rational point exists.  Weights of either path are
+         Fractions or real cyclotomic numbers, declared alike, and every
+         one is checked by exact reconstruction; kernels carry exact
          cyclotomic weights, interned per model;
 numeric  nonnegative least squares on float coordinates, verified against
          the exact operators to 1e-10 and renormalized.
@@ -35,8 +46,9 @@ The checks on results (decomposition reconstruction, kernel normalization,
 the layered Born comparison) raise VerificationError, which is not an
 assert statement and so still runs under python -O.
 
-Decompositions are not unique; any feasible one is valid, and both backends
-are deterministic (Bland pivoting / NNLS on canonically ordered columns).
+Decompositions are not unique; any feasible one is valid, and every path is
+deterministic (the lowest-index face vertex, Bland pivoting, NNLS on
+canonically ordered columns).
 Each model memoises the decompositions it has found and verified, keyed on
 the exact coordinates of the operator, in both modes: at n=1 every vertex on
 a measurement line has the same post-measurement state for a given outcome.
@@ -86,6 +98,7 @@ branch-layers served from the memo and the final branches returned.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,12 +112,13 @@ from .cyclotomic import CycNumber
 from .exact_lp import feasible_point
 from .linalg import CycMatrix
 from .pauli import (CliffordElement, PhasePoint, omega_power, pauli_sum,
-                    phase_slots, phase_space)
-from .polytope import (VertexSet, cnc_phase_point, membership, operator_coords,
-                       pauli_coefficient)
+                    phase_slots, phase_space, symplectic_product)
+from .polytope import (VertexSet, cnc_phase_point, coords_key, membership,
+                       operator_coords, pauli_coefficient, projector_coords)
 from .stabilizer import (IsotropicSubgroup, ValueAssignment,
                          assignment_is_valid, group_projector_matrix,
-                         projector_matrix, projector_trace, value_assignments)
+                         projector_matrix, projector_pair, projector_trace,
+                         value_assignments)
 
 __all__ = [
     "DecompositionInfeasible",
@@ -113,6 +127,7 @@ __all__ = [
     "StateDistribution",
     "HiddenVariableModel",
     "TransitionKernel",
+    "KernelEntries",
     "CliffordOp",
     "MeasureOp",
     "Circuit",
@@ -210,6 +225,36 @@ def trace_with_projector(group: IsotropicSubgroup, r: ValueAssignment, mat: CycM
 # the model: decomposition, Clifford action, measurement kernels
 
 
+class KernelEntries(Mapping):
+    """A kernel's read-only (beta, r_index) -> weight map, in insertion
+    order: a keys tuple shared by the process and a tuple of the weights,
+    about a third of the size of a dict."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[tuple[int, int], ...], values: tuple):
+        self._keys = keys
+        self._values = values
+
+    def __getitem__(self, key: tuple[int, int]):
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def items(self) -> tuple[tuple[tuple[int, int], object], ...]:
+        return tuple(zip(self._keys, self._values))
+
+    def values(self) -> tuple:
+        return self._values
+
+
 @dataclass(slots=True)
 class TransitionKernel:
     """q_{alpha,I}(beta, r): weights over (vertex, assignment-index) pairs.
@@ -217,12 +262,15 @@ class TransitionKernel:
     In exact mode the weights and marginals are the model's interned
     CycNumbers: equal values stored by one model are one object.  The
     (beta, r_index) entry keys are shared by every kernel of the process.
+    The model stores `entries` as read-only KernelEntries, and kernels of
+    one model with equal entries share one, as they share one marginals
+    tuple.
     """
 
     alpha: int
     group: IsotropicSubgroup
     assignments: tuple[ValueAssignment, ...]
-    entries: dict[tuple[int, int], object]      # (beta, r_index) -> weight
+    entries: Mapping[tuple[int, int], object]   # (beta, r_index) -> weight
     marginals: tuple[object, ...]               # Q(r_index | alpha) = Tr(Pi A)
 
     def branch(self, r_index: int) -> list[tuple[int, object]]:
@@ -230,7 +278,8 @@ class TransitionKernel:
 
 
 STAT_NAMES = ("kernel_hits", "kernel_misses", "perm_hits", "perm_misses",
-              "decompose_hits", "decompose_misses", "table_fills", "shots")
+              "decompose_hits", "decompose_misses", "decompose_closed_form",
+              "decompose_lp", "table_fills", "shots")
 
 
 class _PointTable:
@@ -264,14 +313,16 @@ class HiddenVariableModel:
     measured point.
 
     `stats` maps each name in STAT_NAMES to a count: cache hits and misses
-    of `kernel`, `clifford_permutation` and `decompose`, sampling table rows
+    of `kernel`, `clifford_permutation` and `decompose`, the exact
+    decompositions found in closed form and by the LP, sampling table rows
     filled and shots run.
 
     In exact mode the model interns the values its kernels store, marginals
     and weights t * w alike: one CycNumber per distinct (order, num, den),
     shared by every kernel of the model.  In both modes kernels with equal
-    exact marginals share one marginals tuple, so a cached kernel costs its
-    dict of entries and little more.
+    exact marginals share one marginals tuple, and kernels with equal
+    entries one read-only entries mapping, so a cached kernel with the
+    entries of an earlier one costs little more than its own slots.
     """
 
     def __init__(self, vset: VertexSet, mode: str = "exact"):
@@ -286,6 +337,7 @@ class HiddenVariableModel:
         self._tables: dict[PhasePoint, _PointTable] = {}
         self._values: dict[tuple, CycNumber] = {}
         self._marginals: dict[tuple, tuple] = {}
+        self._entries: dict[tuple, KernelEntries] = {}
 
     # -- state decomposition -------------------------------------------------
 
@@ -295,9 +347,15 @@ class HiddenVariableModel:
         Existence is guaranteed for every operator inside the polytope; an
         exact membership scan names a violated facet otherwise.  Found
         decompositions are memoised per model on the exact coordinates of
-        rho; each call returns its own copy of the weights.
+        rho; each call returns its own copy of the weights.  The coordinates
+        of a cached projector (a Lagrangian post-state) are computed once
+        per process (`projector_coords`).
         """
-        coords = operator_coords(rho, self.vset.d)
+        pair = projector_pair(rho)
+        if pair is not None and pair[0].d == self.vset.d:
+            coords = projector_coords(*pair)
+        else:
+            coords = operator_coords(rho, self.vset.d)
         memo_key = tuple((c.order, c.num, c.den) for c in coords)
         weights = self._decompositions.get(memo_key)
         if weights is None:
@@ -309,11 +367,12 @@ class HiddenVariableModel:
         return StateDistribution(self.vset, dict(weights), self.mode)
 
     def _find_decomposition(self, rho: CycMatrix, coords: Sequence[CycNumber]) -> dict[int, object]:
-        key = self.vset.lookup(coords)
-        if key is not None:
-            return {key: Fraction(1) if self.mode == "exact" else 1.0}
+        key = coords_key(coords, self.vset.d)
+        alpha = self.vset.index.get(key)
+        if alpha is not None:
+            return {alpha: Fraction(1) if self.mode == "exact" else 1.0}
         if self.mode == "exact":
-            weights = self._decompose_exact(rho, coords)
+            weights = self._decompose_exact(rho, coords, key)
         else:
             weights = self._decompose_numeric(rho, coords)
         if weights is None:
@@ -325,13 +384,19 @@ class HiddenVariableModel:
             raise VertexSetIncomplete("operator is in the polytope but no decomposition was found")
         return weights
 
-    def _decompose_exact(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
+    def _decompose_exact(self, rho: CycMatrix, target: Sequence[CycNumber],
+                         key: Optional[tuple]) -> Optional[dict[int, object]]:
         rows = self.vset.lp_rows
-        rhs = [*target, Fraction(1)]
-        sol = feasible_point(rows, rhs)
-        if sol is None:
-            return None
-        weights = {i: w for i, w in enumerate(sol) if w != 0}
+        face = self.vset.stabilizer_faces.get(key)
+        if face is not None:
+            self.stats["decompose_closed_form"] += 1
+            weights = self._stabilizer_orbit(*face)
+        else:
+            self.stats["decompose_lp"] += 1
+            sol = feasible_point(rows, [*target, Fraction(1)])
+            if sol is None:
+                return None
+            weights = {i: w for i, w in enumerate(sol) if w != 0}
         if not rows.rational or any(not x.is_rational() for x in target):
             # An irrational system may still be answered in Fractions (by
             # the split path); declare them at the system's order, as the
@@ -342,6 +407,30 @@ class HiddenVariableModel:
         dist = StateDistribution(self.vset, weights, "exact")
         _verify(dist.reconstruct() == rho, "exact decomposition failed to reconstruct")
         return weights
+
+    def _stabilizer_orbit(self, group: IsotropicSubgroup, face: int) -> dict[int, Fraction]:
+        """The closed-form weights, in vertex order, of the stabilizer state
+        of group I whose tight facets form the bitmask face: the I-orbit of
+        the first vertex on its minimal face (see the module docstring).  A
+        missing face vertex or orbit image raises VertexSetIncomplete."""
+        alpha = next((i for i, m in enumerate(self.vset.certificate_masks) if m & face == face), None)
+        if alpha is None:
+            raise VertexSetIncomplete("no vertex on the minimal face of a stabilizer state")
+        _, coefficients, index = self.vset.label_index
+        xs = coefficients[alpha]
+        omega = [omega_power(self.vset.d, k) for k in range(self.vset.d)]
+        counts: dict[int, int] = {}
+        for phases in _conjugation_phases(group):
+            key = []
+            for k, x in zip(phases, xs):
+                y = omega[k] * x if k else x
+                key.append((y.num, y.den))
+            beta = index.get(tuple(key))
+            if beta is None:
+                raise VertexSetIncomplete(
+                    f"Pauli image of vertex {alpha} on a stabilizer face not in the vertex set")
+            counts[beta] = counts.get(beta, 0) + 1
+        return {beta: Fraction(c, len(group)) for beta, c in sorted(counts.items())}
 
     def _decompose_numeric(self, rho: CycMatrix, target: Sequence[CycNumber]) -> Optional[dict[int, object]]:
         from scipy.optimize import nnls
@@ -421,7 +510,8 @@ class HiddenVariableModel:
         self.stats["kernel_misses"] += 1
         probs, post = _born_transition(group, self.vset[alpha].matrix,
                                        self.vset.label_index[1][alpha])
-        entries: dict[tuple[int, int], object] = {}
+        keys: list[tuple[int, int]] = []
+        weights: list[object] = []
         marginals: list[object] = []
         exact: list[tuple] = []
         for ri, t in enumerate(probs):
@@ -434,13 +524,25 @@ class HiddenVariableModel:
             if sgn == 0:
                 continue
             for beta, w in self.decompose(post(ri)).weights.items():
-                entries[_entry_key(beta, ri)] = self._value(value * w)
-        self._check(sum(entries.values()), 1, 1e-9, "kernel normalization failed",
+                keys.append((beta, ri))
+                weights.append(self._value(value * w))
+        self._check(sum(weights), 1, 1e-9, "kernel normalization failed",
                     "kernel normalization failed")
+        entries = self._shared_entries(tuple(keys), tuple(weights))
         kern = self._kernels[key] = TransitionKernel(
             alpha, group, _group_assignments(group), entries,
             self._marginals.setdefault(tuple(exact), tuple(marginals)))
         return kern
+
+    def _shared_entries(self, keys: tuple, weights: tuple) -> KernelEntries:
+        """The model's one KernelEntries of these keys and weights, found by
+        the keys and each weight's exact representation (exact mode) or
+        float (numeric mode)."""
+        exact = tuple((w.order, w.num, w.den) for w in weights) if self.mode == "exact" else weights
+        shared = self._entries.get((keys, exact))
+        if shared is None:
+            shared = self._entries[keys, exact] = KernelEntries(_entry_keys(keys), weights)
+        return shared
 
     def _value(self, x):
         """x as the model stores it: in exact mode the model's one CycNumber
@@ -541,10 +643,18 @@ def _label_sum(group: IsotropicSubgroup, terms: Sequence[tuple[int, int]],
 
 
 @lru_cache(maxsize=None)
-def _entry_key(beta: int, ri: int) -> tuple[int, int]:
-    """The (beta, r_index) key of a kernel entry, one tuple per pair for the
-    life of the process, so kernels share their keys."""
-    return (beta, ri)
+def _conjugation_phases(group: IsotropicSubgroup) -> tuple[tuple[int, ...], ...]:
+    """Per a in I, the exponent [a, b] of each label b in `phase_slots`
+    order: T_a T_b T_a^dag = omega^{[a, b]} T_b."""
+    slots = phase_slots(group.d, group.n)
+    return tuple(tuple(symplectic_product(a, b) for b in slots) for a in group)
+
+
+@lru_cache(maxsize=None)
+def _entry_keys(keys: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The (beta, r_index) keys of kernel entries, one tuple per distinct
+    sequence for the life of the process, so kernels share their keys."""
+    return keys
 
 
 @dataclass(frozen=True)

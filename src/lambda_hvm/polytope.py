@@ -35,12 +35,13 @@ from .pauli import (PhasePoint, omega_power, pauli_mono, pauli_order,
                     phase_slots, phase_space)
 from .stabilizer import (IsotropicSubgroup, StabilizerProjector,
                          ValueAssignment, closure_under_inference,
-                         enumerate_isotropics, projector, projector_matrix,
-                         value_assignments)
+                         enumerate_isotropics, group_projector_matrix,
+                         projector, projector_matrix, value_assignments)
 
 __all__ = [
     "coord_order",
     "operator_coords",
+    "projector_coords",
     "matrix_from_coords",
     "functional_vector",
     "coords_key",
@@ -109,6 +110,13 @@ def operator_coords(mat: CycMatrix, d: int) -> tuple[CycNumber, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def projector_coords(group: IsotropicSubgroup, r: ValueAssignment) -> tuple[CycNumber, ...]:
+    """operator_coords of the cached projector Pi_I^r, once per (group, r)
+    for the life of the process."""
+    return operator_coords(group_projector_matrix(group, r), group.d)
+
+
 def matrix_from_coords(coords: Sequence[CycNumber], d: int, n: int) -> CycMatrix:
     dim = d ** n
     if len(coords) != dim * dim:
@@ -170,7 +178,7 @@ def stabilizer_states(d: int, n: int) -> tuple[StabilizerProjector, ...]:
     for group in enumerate_isotropics(d, n, only_maximal=True):
         for r in value_assignments(group):
             proj = projector(group, r)
-            key = coords_key(operator_coords(proj.matrix, d), d)
+            key = coords_key(projector_coords(group, r), d)
             if key not in seen:
                 seen.add(key)
                 out.append(proj)
@@ -458,6 +466,26 @@ class VertexSet:
         index = {tuple((x.num, x.den) for x in xs): v.index
                  for xs, v in zip(coefficients, self.vertices)}
         return slots, coefficients, index
+
+    @cached_property
+    def certificate_masks(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of the facets active in its certificate."""
+        return tuple(sum(1 << i for i in v.certificate.active) for v in self.vertices)
+
+    @cached_property
+    def stabilizer_faces(self) -> dict[tuple, tuple[IsotropicSubgroup, int]]:
+        """Each pure stabilizer state Pi_I^r by its coords key -> (I, the
+        bitmask of the facets tight at it), built on first use.
+
+        A vertex whose certificate mask contains that bitmask lies on the
+        state's minimal face of Lambda.
+        """
+        out = {}
+        for proj in stabilizer_states(self.d, self.n):
+            coords = projector_coords(proj.group, proj.assignment)
+            _, active, _ = membership(coords, self.hrep)
+            out[coords_key(coords, self.d)] = (proj.group, sum(1 << i for i in active))
+        return out
 
     @cached_property
     def lp_rows(self) -> PreparedRows:

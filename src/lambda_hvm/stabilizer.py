@@ -40,6 +40,7 @@ __all__ = [
     "projector_matrix",
     "projector_trace",
     "group_projector_matrix",
+    "projector_pair",
     "closure_under_inference",
     "closure_and_cnc",
     "projector_product",
@@ -304,13 +305,29 @@ class StabilizerProjector:
         return (self.group.key(), self.assignment.key())
 
 
+# id of each matrix group_projector_matrix built -> (matrix, group, r); the
+# entry keeps the matrix alive, so its id is never reused.
+_projector_pairs: dict[int, tuple[CycMatrix, "IsotropicSubgroup", "ValueAssignment"]] = {}
+
+
 @lru_cache(maxsize=None)
 def group_projector_matrix(group: IsotropicSubgroup, r: ValueAssignment) -> CycMatrix:
     """Pi_I^r for a subgroup and an assignment on it, built once per pair.
 
-    CycMatrix is immutable, so every caller may share the returned matrix.
+    CycMatrix is immutable, so every caller may share the returned matrix,
+    and `projector_pair` maps it back to (group, r).
     """
-    return projector_matrix(group.d, group.n, group.elements, r.as_dict())
+    mat = projector_matrix(group.d, group.n, group.elements, r.as_dict())
+    _projector_pairs[id(mat)] = (mat, group, r)
+    return mat
+
+
+def projector_pair(mat: CycMatrix) -> Optional[tuple[IsotropicSubgroup, ValueAssignment]]:
+    """(group, r) if mat is the very matrix group_projector_matrix(group, r)
+    returned, else None (an equal matrix built elsewhere included): lets a
+    cache keyed on the pair serve the matrix."""
+    entry = _projector_pairs.get(id(mat))
+    return entry[1:] if entry is not None and entry[0] is mat else None
 
 
 def projector_matrix(d: int, n: int, points: Iterable[PhasePoint],

@@ -203,12 +203,13 @@ SIMULATE_CIRCUITS = {
 }
 
 # sha256 of (the CSV, stdout) of those runs on shot stream version 2
-# (PCG64 draw matrix, row k drives shot k).
+# (PCG64 draw matrix, row k drives shot k) and decomposition version 2
+# (stabilizer post-states in closed form).
 SIMULATE_SHA256 = {
-    ("2", "T"): ("122c4fdcfd8b9ad9af962ded4e7b1d4c691df7d565c410a0d35114c676597ea7",
-                 "9f51b6a4836326c984c77a388b4d6cff5c15786ea68d71987a065fee9b60f20f"),
-    ("3", "strange"): ("5d76a0ac137181c55167a46f0fa643f5a2c230794ae21dcb834cff2200674442",
-                       "da2b7e9e74810ec74c33ace09d186d61693a965b26d7a6647cc927ca15bb17e2"),
+    ("2", "T"): ("3ca3e28c9e1c1d2d1c2b14c93da62c93c7b74d37a3fc7c39e6fef7b10d2d7c30",
+                 "59363ebbc352e90aaaef7de5d8170ef5ed3edd28219888b9b363e77b08d8bf7e"),
+    ("3", "strange"): ("53d33adc46535f84985c42a6185609983f5aa47ffa4634452954b8c2279343ac",
+                       "8a12809f1b4faaa125bb63ed5cbbdfc7a80ccbd1a0d2a25e47b8092f0c2cfa16"),
 }
 
 
@@ -289,6 +290,11 @@ def test_simulate_stats(tmp_path, capsys, ops, measured):
     assert set(stats["oracle"]) == {"transitions", "reused", "branches"}
     assert stats["model"]["shots"] == 300
     assert stats["model"]["decompose_misses"] >= 1
+    # the T input needs the LP; the post-states of the Z measurement are
+    # the stabilizer states |0>, |1>, decomposed in closed form
+    assert stats["model"]["decompose_lp"] == stats["exact_lp"]["field"] == 1
+    assert stats["model"]["decompose_closed_form"] == (2 if measured else 0)
+    assert stats["model"]["decompose_misses"] == 1 + stats["model"]["decompose_closed_form"]
     assert stats["oracle"]["branches"] == (2 if measured else 0)
     assert all(type(v) is int and v >= 0 for group in stats.values() for v in group.values())
 

@@ -18,6 +18,7 @@ from lambda_hvm.hvm import HiddenVariableModel, MeasureOp, random_circuit
 from lambda_hvm.pauli import clifford_generators, phase_space
 from lambda_hvm.polytope import enumerate_vertices, lambda_hrep, operator_coords, stabilizer_states
 from lambda_hvm.presets import preset_names, preset_state
+from lambda_hvm.stabilizer import group_projector_matrix, value_assignments
 from tests_support import (reference_field_simplex, reference_phase_one, reference_simplex,
                            reference_split_rows, reference_start_tableau)
 
@@ -392,23 +393,40 @@ def _rational_systems(lps):
     return out
 
 
-def test_qutrit_kernel_lps_match_the_fraction_simplex(monkeypatch):
-    # all 324 kernels; at n = 1 a post-measurement state depends only on the
-    # line and the outcome, so they solve 12 distinct LPs
-    vset = enumerate_vertices(lambda_hrep(3, 1))
-    model = HiddenVariableModel(vset, mode="exact")
+def _line_groups(d):
     groups = {}
-    for p in phase_space(3, 1):
+    for p in phase_space(d, 1):
         if not p.is_zero():
             g = MeasureOp(p).group()
             groups.setdefault(g.key(), g)
+    return list(groups.values())
+
+
+def _post_state_systems(vset, groups):
+    """The decomposition system of each post-state Pi_I^r of the groups, on
+    the vertex set's rows: what the model solved by LP before stabilizer
+    states decomposed in closed form."""
+    rows = vset.lp_rows.rows
+    return [(rows, [*operator_coords(group_projector_matrix(g, r), vset.d), Fraction(1)])
+            for g in groups for r in value_assignments(g)]
+
+
+def test_qutrit_kernel_lps_match_the_fraction_simplex(monkeypatch):
+    # all 324 kernels; every post-state is one of the 12 qutrit stabilizer
+    # states, which the model decomposes in closed form, with no LP; their
+    # 12 systems are solved directly
+    vset = enumerate_vertices(lambda_hrep(3, 1))
+    model = HiddenVariableModel(vset, mode="exact")
+    groups = _line_groups(3)
 
     def run():
-        for g in groups.values():
+        for g in groups:
             for alpha in range(len(vset)):
                 model.kernel(alpha, g)
 
-    lps = _recorded_lps(monkeypatch, run)
+    assert _recorded_lps(monkeypatch, run) == []
+    assert model.stats["decompose_closed_form"] == 12 and model.stats["decompose_lp"] == 0
+    lps = _post_state_systems(vset, groups)
     systems = _rational_systems(lps)
     assert len(lps) == len(systems) == 12
     pivots = [assert_matches_reference(rows, b) for rows, b in systems]
@@ -430,10 +448,13 @@ def test_job_panel_lps_match_the_fraction_simplex(monkeypatch):
             model.decompose(circuit.state)
             hvm.verify_circuit_born(circuit, model)
 
-    # 8 distinct systems; the T and H input states need the field
+    # the model solves only the T and H input states, which need the field;
+    # the 6 qubit stabilizer post-states are closed form, so their systems
+    # are solved directly
     lps = _recorded_lps(monkeypatch, run)
-    systems = _rational_systems(lps)
-    assert len(lps) == 8 and len(systems) == 6
+    assert len(lps) == 2 and _rational_systems(lps) == []
+    systems = _rational_systems(_post_state_systems(vset, _line_groups(2)))
+    assert len(systems) == 6
     for rows, b in systems:
         assert_matches_reference(rows, b)
 

@@ -14,18 +14,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lambda_hvm import hvm
+from lambda_hvm import exact_lp, hvm
 from lambda_hvm.checks import random_traceless
 from lambda_hvm.cyclotomic import CycNumber
 from lambda_hvm.hvm import (Circuit, CliffordOp, DecompositionInfeasible,
                             HiddenVariableModel, MeasureOp, StateDistribution,
-                            TransitionKernel, VertexSetIncomplete, chi_square,
+                            TransitionKernel, VerificationError, VertexSetIncomplete, chi_square,
                             oracle_distribution, oracle_simulate, random_circuit,
                             run_shots, simulate_run, trace_with_projector,
                             verify_circuit_born)
 from lambda_hvm.linalg import CycMatrix
-from lambda_hvm.pauli import PhasePoint, clifford_generators, pauli_matrix, phase_space
-from lambda_hvm.polytope import (VertexInfo, VertexSet, coord_order, enumerate_vertices,
+from lambda_hvm.pauli import PhasePoint, clifford_generators, omega_power, pauli_matrix, phase_space
+from lambda_hvm.polytope import (VertexInfo, VertexSet, coord_order, coords_key, enumerate_vertices,
                                  lambda_hrep, operator_coords, stabilizer_states)
 from lambda_hvm.presets import preset_names, preset_state
 from lambda_hvm.stabilizer import (IsotropicSubgroup, enumerate_isotropics,
@@ -72,9 +72,10 @@ def kernel_line(gi, kern):
 
 
 # sha256 of the kernel_line table of all 324 exact d=3 kernels (81 vertices x
-# 4 lines, line-major), recorded before decompositions went rational-first
-# and were memoised.
-QUTRIT_KERNEL_TABLE_SHA256 = "95d5aa7097470c5c6df70411c322f4468a644113f92f2f21807cd75f6c79fa92"
+# 4 lines, line-major) on decomposition version 2: every post-state is a
+# qutrit stabilizer state, decomposed in closed form as the orbit of its
+# lowest-index face vertex.
+QUTRIT_KERNEL_TABLE_SHA256 = "2a709b40cd96dbbc08f982980ed5ea892efcfef4dfeafac1050e6739fa55c3d6"
 
 
 def z_measure(d):
@@ -502,6 +503,99 @@ def test_kernels_share_entry_keys_and_marginal_tuples(qutrit_exact_model):
         assert all(len(ids) == 1 for ids in tuples.values()) and len(tuples) < len(vset) // 10
 
 
+def _entries_repr(kern):
+    return repr([(k, w if isinstance(w, float) else w.serialize()) for k, w in kern.entries.items()])
+
+
+def test_kernels_of_a_model_share_equal_entries(qutrit_exact_model):
+    # within a model, kernels with equal entries share one read-only mapping,
+    # in both modes; a fresh model builds its own
+    vset = qutrit_exact_model.vset
+    for mode in ("exact", "numeric"):
+        model = HiddenVariableModel(vset, mode=mode)
+        kerns = [model.kernel(alpha, group) for group in line_groups(3) for alpha in range(len(vset))]
+        mappings: dict = {}
+        for kern in kerns:
+            mappings.setdefault(_entries_repr(kern), set()).add(id(kern.entries))
+        assert all(len(ids) == 1 for ids in mappings.values()) and len(mappings) < len(kerns) // 10
+        with pytest.raises(TypeError):
+            kerns[0].entries[(0, 0)] = kerns[0].marginals[0]
+        fresh = HiddenVariableModel(vset, mode=mode).kernel(kerns[0].alpha, kerns[0].group)
+        assert fresh.entries == kerns[0].entries and fresh.entries is not kerns[0].entries
+
+
+def test_label_action_of_a_pauli_conjugation():
+    # T_a T_b T_a^dag = omega^{[a, b]} T_b: the phases the closed form reads
+    for d in (2, 3, 4, 5):
+        points = list(phase_space(d, 1))
+        for a in points:
+            group = IsotropicSubgroup.from_generators(d, 1, [a])
+            for elem, phases in zip(group, hvm._conjugation_phases(group)):
+                ta = pauli_matrix(elem)
+                for b, k in zip(points, phases):
+                    tb = pauli_matrix(b)
+                    assert ta @ tb @ ta.dagger() == tb.scale(omega_power(d, k))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stabilizer_states_decompose_in_closed_form(d, qubit_model, qutrit_model, ququart_model):
+    """Every pure stabilizer state at n = 1 is the I-average of the Pauli
+    images of its lowest-index face vertex: the model finds it with no LP,
+    with support d, and it reconstructs the state exactly."""
+    vset = {2: qubit_model, 3: qutrit_model, 4: ququart_model}[d].vset
+    model = HiddenVariableModel(vset, mode="exact")
+    states = stabilizer_states(d, 1)
+    lp_before = dict(exact_lp.stats)
+    for proj in states:
+        dist = model.decompose(proj.matrix)
+        assert dist.reconstruct() == proj.matrix
+        assert len(dist.weights) == d and sum(dist.weights.values()) == 1
+        group, face = vset.stabilizer_faces[coords_key(operator_coords(proj.matrix, d), d)]
+        assert group is proj.group and len(group) == d
+        assert all(vset.certificate_masks[beta] & face == face for beta in dist.weights)
+    assert exact_lp.stats == lp_before
+    assert model.stats["decompose_closed_form"] == len(states) == {2: 6, 3: 12, 4: 28}[d]
+    assert model.stats["decompose_lp"] == 0
+    # equal matrices built elsewhere take the same path to the same weights
+    other = HiddenVariableModel(vset, mode="exact")
+    for proj in states:
+        rebuilt = CycMatrix([list(row) for row in proj.matrix.data])
+        assert other.decompose(rebuilt).weights == model.decompose(proj.matrix).weights
+    assert exact_lp.stats == lp_before
+
+
+def _off_face_masks(vset, face):
+    """Certificate masks under which the first vertex that seems to lie on
+    the face is the first vertex off it."""
+    return tuple(0 if m & face == face else face for m in vset.certificate_masks)
+
+
+def test_closed_form_from_a_vertex_off_the_face_fails_reconstruction(qutrit_model):
+    vset = qutrit_model.vset
+    for proj in stabilizer_states(3, 1):
+        mutant = VertexSet(vset.hrep, vset.vertices)
+        _, face = mutant.stabilizer_faces[coords_key(operator_coords(proj.matrix, 3), 3)]
+        mutant.certificate_masks = _off_face_masks(vset, face)
+        with pytest.raises(VerificationError, match="failed to reconstruct"):
+            HiddenVariableModel(mutant, mode="exact").decompose(proj.matrix)
+
+
+def test_closed_form_needs_the_face_vertex_and_its_images(qubit_model):
+    vset = qubit_model.vset
+    proj = stabilizer_states(2, 1)[0]
+    key = coords_key(operator_coords(proj.matrix, 2), 2)
+    cut = VertexSet(vset.hrep, vset.vertices)
+    _, face = cut.stabilizer_faces[key]
+    cut.certificate_masks = tuple(0 for _ in vset.vertices)
+    with pytest.raises(VertexSetIncomplete, match="minimal face"):
+        HiddenVariableModel(cut, mode="exact").decompose(proj.matrix)
+    alpha = next(i for i, m in enumerate(vset.certificate_masks) if m & face == face)
+    cut = VertexSet(vset.hrep, vset.vertices)
+    cut.label_index = (*vset.label_index[:2], {k: i for k, i in vset.label_index[2].items() if i == alpha})
+    with pytest.raises(VertexSetIncomplete, match="Pauli image of vertex"):
+        HiddenVariableModel(cut, mode="exact").decompose(proj.matrix)
+
+
 def test_oracle_examples():
     zero = preset_state("zero", 2, 1)
     circ = Circuit(2, 1, zero, "zero", (z_measure(2),))
@@ -878,8 +972,8 @@ def _corrupted_check(body: str) -> str:
 
 
 def test_checks_survive_python_optimize():
-    """A corrupted model fails the Born (exact and numeric) and normalization
-    checks under -O."""
+    """A corrupted model fails the Born (exact and numeric), normalization
+    and closed-form reconstruction checks under -O."""
     born = _corrupted_check("""
         vset = enumerate_vertices(lambda_hrep(2, 1))
         model = HiddenVariableModel(vset, mode="exact")
@@ -925,6 +1019,21 @@ def test_checks_survive_python_optimize():
             print(exc)
     """)
     assert kernel == "kernel normalization failed"
+    off_face = _corrupted_check("""
+        from lambda_hvm.hvm import VerificationError
+        from lambda_hvm.polytope import VertexSet, coords_key, operator_coords, stabilizer_states
+        vset = enumerate_vertices(lambda_hrep(3, 1))
+        for proj in stabilizer_states(3, 1):
+            mutant = VertexSet(vset.hrep, vset.vertices)
+            _, face = mutant.stabilizer_faces[coords_key(operator_coords(proj.matrix, 3), 3)]
+            mutant.certificate_masks = tuple(0 if m & face == face else face
+                                             for m in vset.certificate_masks)
+            try:
+                HiddenVariableModel(mutant, mode="exact").decompose(proj.matrix)
+            except VerificationError as exc:
+                print(exc)
+    """)
+    assert off_face.splitlines() == ["exact decomposition failed to reconstruct"] * 12
     malformed = ("Q:(1)|X:(1)", "Z:(1]|X:(1)", "Z:(1,2)|X:(1)")
     labels = _corrupted_check(f"""
         for text in {malformed!r}:
