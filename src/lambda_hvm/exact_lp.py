@@ -28,20 +28,22 @@ the textbook tableau's.  The loop stops when no cost entry is positive, and
 one readout returns the basic point, or None while the artificial sum is
 not zero.  Only the pivot rule differs between the paths:
 
-* rational: an integer tableau (Edmonds' integer-preserving pivot, as in
-  Bareiss elimination).  Row i of [A | b] is scaled to integers by the lcm
-  l_i of its own denominators; the artificial basis of that integer system
-  is diag(l_i), of determinant D = prod(l_i), and the tableau holds D times
+* rational: one integer tableau, a list of rows of Python ints, which
+  cannot overflow (Edmonds' integer-preserving pivot, as in Bareiss
+  elimination).  Row i of [A | b] is scaled to integers by the lcm l_i of
+  its own denominators; the artificial basis of that integer system is
+  diag(l_i), of determinant D = prod(l_i), and the tableau holds D times
   the rational one.  Pivoting on entry pe of row p replaces every other row
-  (and the cost row) by (pe * row - row[e] * M[p]) // D and then sets
-  D = pe.  Throughout, D is the determinant of the current basis columns of
-  the scaled integer system, and by Cramer's rule every entry is D times the
-  rational entry, an integer, so the floor division is exact.  D stays
-  positive (each pivot entry is), and the point is read out as
-  Fraction(rhs, D).  Scaling every row by one common lcm L and starting from
-  D = L is right only when the row lcms are pairwise coprime; otherwise D is
-  not the basis determinant, entries stop being integers and the floor
-  division silently returns wrong points.
+  (and the cost row) by (pe * row - row[e] * M[p]) // D, or pe * row // D
+  where row[e] is 0, and then sets D = pe.  Throughout, D is the
+  determinant of the current basis columns of the scaled integer system,
+  and by Cramer's rule every entry is D times the rational entry, an
+  integer, so the floor division is exact.  D stays positive (each pivot
+  entry is), and the point is read out as Fraction(rhs, D).  Scaling every
+  row by one common lcm L and starting from D = L is right only when the
+  row lcms are pairwise coprime; otherwise D is not the basis determinant,
+  entries stop being integers and the floor division silently returns
+  wrong points.
 * field: the textbook tableau over real CycNumbers, D = 1.  The pivot row
   is divided by its pivot entry and f times it is subtracted from every row
   whose entry f in the pivot column is not zero.  A fraction-free pivot
@@ -63,25 +65,9 @@ pivot after it, is the one built from the Fraction rows.
 ``feasible_point`` takes plain rows, wrapped on the fly, or prepared ones;
 only the rows are prepared, never a result.
 
-Integer storage: the integer tableau, cost row included, is one numpy
-array, and one array pivot runs on it whatever its dtype.  The run starts on
-``np.int64`` when every start entry is below 2**31 in magnitude.  The ratio
-test's cross products and a pivot's pe * x and f * y are then products of
-two entries below 2**31, so each is below 2**62 and each difference below
-2**63, inside int64; the pivot's quotient by D is exact as above.  After
-every int64 pivot the new tableau's largest |entry| is checked against 2**31
-again, before the next ratio test reads it.  When the check fails, the run
-is abandoned and the same system is solved again from the start on an
-``object`` array of Python ints, which cannot overflow and needs no check; a
-start tableau past the bound runs there from the first pivot.  Up to the
-failed check both runs computed the same exact integers, so they make the
-same pivots and the answer does not depend on the storage.  The tableau and
-the point are returned in Python ints.
-
 ``stats`` counts, for the life of the process, solves by path
-(``rational`` input, the ``split`` system, the ``field`` fallback), simplex
-``pivots`` on both paths (of the runs that returned), integer solves that
-finished on ``int64`` storage and the ``restarts`` on object storage.
+(``rational`` input, the ``split`` system, the ``field`` fallback), and
+simplex ``pivots`` on both paths.
 """
 
 from __future__ import annotations
@@ -90,16 +76,11 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence, Union
 
-import numpy as np
-
 from .cyclotomic import CycNumber
 
 __all__ = ["PreparedRows", "feasible_point", "stats"]
 
-stats = {"rational": 0, "split": 0, "field": 0, "pivots": 0, "int64": 0, "restarts": 0}
-
-# Entries of an int64 tableau stay below this in magnitude (see above).
-INT64_BOUND = 1 << 31
+stats = {"rational": 0, "split": 0, "field": 0, "pivots": 0}
 
 
 IntegerRow = tuple[list[int], int]
@@ -250,27 +231,14 @@ def _integer_tableau(rows: Sequence[IntegerRow], b) -> tuple[list[list[int]], in
 
 def _integer_phase_one(rows: Sequence[IntegerRow], b):
     """Phase I on the integer tableau of the integer rows against b; the
-    final (rows, cost, D, basis), in Python ints.
+    final (rows, cost, D, basis).
 
     Each row is [x columns | artificial columns | rhs]; the cost row ends
     with the artificial sum.  Both are D times their rational counterparts.
-    The run is on an int64 array while every entry stays below INT64_BOUND,
-    and on an object array of Python ints from the start otherwise.
     """
-    n = len(rows[0][0])
     tab, det = _integer_tableau(rows, b)
-    fits = max(max(row) for row in tab) < INT64_BOUND and min(min(row) for row in tab) > -INT64_BOUND
-    for dtype in (np.int64, object) if fits else (object,):
-        arr = np.array(tab, dtype=dtype)
-        try:
-            det, basis = _phase_one(arr, det, n, _array_pivot)
-        except _Int64Overflow:
-            stats["restarts"] += 1
-            continue
-        if dtype is np.int64:
-            stats["int64"] += 1
-        tab = arr.tolist()
-        return tab[:-1], tab[-1], det, basis
+    det, basis = _phase_one(tab, det, len(rows[0][0]), _integer_pivot)
+    return tab[:-1], tab[-1], det, basis
 
 
 def _field_simplex(a_rows, b):
@@ -336,24 +304,18 @@ def _phase_one(tab, det, n, pivot):
         pivots += 1
 
 
-class _Int64Overflow(ArithmeticError):
-    """An int64 tableau entry reached INT64_BOUND; the run restarts on ints."""
-
-
-def _array_pivot(tab, p, e, det):
-    """Every other row r of the array tab becomes (pe * r - r[e] * M[p]) // D,
-    exact by the D invariant; the new D is pe.  On int64 storage, entries
-    below INT64_BOUND keep every product below 2**62, and _Int64Overflow is
-    raised when the new tableau has an entry at or above the bound."""
-    prow = tab[p].copy()
-    pe = int(prow[e])
-    col = tab[:, e].copy()
-    tab *= pe
-    tab -= np.outer(col, prow)
-    tab //= det
-    tab[p] = prow
-    if tab.dtype == np.int64 and (tab.max() >= INT64_BOUND or tab.min() <= -INT64_BOUND):
-        raise _Int64Overflow(f"tableau entry beyond 2**31 after a pivot on {pe}")
+def _integer_pivot(tab, p, e, det):
+    """Every other row r becomes (pe * r - r[e] * M[p]) // D, exact by the D
+    invariant; the new D is pe."""
+    prow = tab[p]
+    pe = prow[e]
+    for i, row in enumerate(tab):
+        if i != p:
+            f = row[e]
+            if f == 0:
+                tab[i] = [pe * x // det for x in row]
+            else:
+                tab[i] = [(pe * x - f * y) // det for x, y in zip(row, prow)]
     return pe
 
 

@@ -285,7 +285,7 @@ def test_simulate_stats(tmp_path, capsys, ops, measured):
     assert doc == json.loads(plain)
     assert set(stats) == {"model", "exact_lp", "polytope", "oracle"}
     assert set(stats["model"]) == set(STAT_NAMES)
-    assert set(stats["exact_lp"]) == {"rational", "split", "field", "pivots", "int64", "restarts"}
+    assert set(stats["exact_lp"]) == {"rational", "split", "field", "pivots"}
     assert set(stats["polytope"]) == {"modp", "exact"}
     assert set(stats["oracle"]) == {"transitions", "reused", "branches"}
     assert stats["model"]["shots"] == 300

@@ -239,19 +239,13 @@ def test_row_denominators_scale_each_row_on_its_own():
     assert feasible_point(rows, b) == [Fraction(0), Fraction(1), Fraction(1)]
 
 
-# -- int64 storage and the restart on Python ints -------------------------------
-
-
-def _storage_delta(rows, b):
-    """assert_matches_reference on (rows, b), and how the integer runs ended."""
-    start = {k: exact_lp.stats[k] for k in ("int64", "restarts")}
-    assert_matches_reference(rows, b)
-    return {k: exact_lp.stats[k] - start[k] for k in start}
+# -- big integers ---------------------------------------------------------------
 
 
 def wide_integer_lp(m, seed):
     """m x (m + 4) integer rows with entries in [-4096, 4096] and a planted
-    point: the start tableau fits int64 storage, its minors do not."""
+    point: the start entries are small, the final tableaus hold entries of
+    2**50 to 2**75."""
     rng = random.Random(f"exact_lp/int64/{m}/{seed}")
     n = m + 4
     rows = [[rng.randint(-4096, 4096) for _ in range(n)] for _ in range(m)]
@@ -262,30 +256,19 @@ def wide_integer_lp(m, seed):
 @pytest.mark.parametrize("m", [4, 5, 6])
 @pytest.mark.parametrize("seed", range(3))
 def test_entries_past_the_int64_bound_restart_on_python_ints(m, seed):
-    # feasible_point and _integer_phase_one each restart once; the point,
-    # the pivot count of the returned run and the whole final tableau are
-    # still the reference simplex's.
+    # the point, the pivot count and the whole final tableau are still the
+    # reference simplex's
     rows, b = wide_integer_lp(m, seed)
     assert max(abs(v) for row in rows for v in row) <= 4096
-    assert _storage_delta(rows, b) == {"int64": 0, "restarts": 2}
+    assert_matches_reference(rows, b)
 
 
-def test_a_start_tableau_past_the_bound_runs_on_python_ints():
-    # 2**31 itself is out of int64 storage, so no int64 run starts
-    big = exact_lp.INT64_BOUND
+def test_big_start_entries_match_the_fraction_simplex():
+    big = 2147483648  # 2**31
     rows = [[big, 1, 0], [1, 2, 3]]
-    assert _storage_delta(rows, [big + 1, 6]) == {"int64": 0, "restarts": 0}
+    assert_matches_reference(rows, [big + 1, 6])
     rows = [[Fraction(1, 3 * big), 1], [1, 1]]
-    assert _storage_delta(rows, [1, 2]) == {"int64": 0, "restarts": 0}
-
-
-def test_small_integer_lps_finish_on_int64_storage():
-    rows = [[2, -1, 0, 1], [0, 1, -2, 1], [1, 1, 1, -2]]
-    b = [3, 1, 2]
-    assert _storage_delta(rows, b) == {"int64": 2, "restarts": 0}
-    x = feasible_point(rows, b)
-    assert all(type(w) is Fraction and type(w.numerator) is int and type(w.denominator) is int
-               for w in x)
+    assert_matches_reference(rows, [1, 2])
 
 
 # -- prepared rows --------------------------------------------------------------
@@ -457,6 +440,31 @@ def test_job_panel_lps_match_the_fraction_simplex(monkeypatch):
     assert len(systems) == 6
     for rows, b in systems:
         assert_matches_reference(rows, b)
+
+
+def test_ququart_split_lps_match_the_fraction_simplex(monkeypatch):
+    # circuit 0 of the sample-warm-d4 benchmark panel, walked forward through
+    # the kernels of every vertex its shots can reach, in exact mode: the
+    # order-2 post-states are no stabilizer states and take the split LP
+    vset = enumerate_vertices(lambda_hrep(4, 1))
+    circuit = random_circuit(4, 1, 6, random.Random("sample-warm-d4/circuit/0"),
+                             clifford_generators(4, 1), preset_state("zero", 4, 1), "zero")
+    model = HiddenVariableModel(vset, mode="exact")
+
+    def run():
+        front = set(model.decompose(circuit.state).weights)
+        for op in circuit.ops:
+            if isinstance(op, hvm.CliffordOp):
+                perm = model.clifford_permutation(op.element)
+                front = {perm[a] for a in front}
+            else:
+                front = {beta for a in front for beta, _ in model.kernel(a, op.group()).entries}
+
+    lps = _recorded_lps(monkeypatch, run)
+    systems = _rational_systems(lps)
+    assert len(lps) == len(systems) == 4
+    pivots = [assert_matches_reference(rows, b) for rows, b in systems]
+    assert min(pivots) >= 30
 
 
 # -- the field path against the CycNumber simplex -------------------------------
