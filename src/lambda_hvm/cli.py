@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycNumber
+from .cyclotomic import stats as cyclotomic_stats
 from .exact_lp import stats as lp_stats
 from .hvm import (Circuit, CliffordOp, DecompositionInfeasible, MeasureOp,
                   HiddenVariableModel, VertexSetIncomplete, chi_square,
@@ -271,10 +272,11 @@ def cmd_decompose(args) -> int:
 
 def _library_counters() -> dict[str, dict[str, int]]:
     """Copies of the process-wide counters of the LP, the vertex
-    certificates and the oracle; `simulate --stats` reports what the
-    command added to them, so earlier calls in the process do not count."""
+    certificates, the oracle and the sign tests; `simulate --stats` reports
+    what the command added to them, so earlier calls in the process do not
+    count."""
     return {"exact_lp": dict(lp_stats), "polytope": dict(polytope_stats),
-            "oracle": dict(oracle_stats)}
+            "oracle": dict(oracle_stats), "cyclotomic": dict(cyclotomic_stats)}
 
 
 def cmd_simulate(args) -> int:
@@ -376,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--shots", type=int, default=10000)
     p_sim.add_argument("--stats", action="store_true",
                        help="add the model's cache and decomposition-path counters and the LP, "
-                            "certificate and oracle counts of this command to the JSON summary")
+                            "certificate, oracle and sign counts of this command to the JSON "
+                            "summary")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -16,9 +16,20 @@ inverse of an irrational x is read off its norm: N(x), the product of
 sigma_k(x) over all units k, is a nonzero rational, so
 1/x = (prod_{k != 1} sigma_k(x)) / N(x).
 
-Real values (conj(x) == x) admit a decidable sign test: an exact zero test on
-the canonical form, otherwise interval refinement until the enclosure
-excludes zero.
+Real values (conj(x) == x) admit a decidable sign test.  A rational value
+reads its sign off its numerator.  An irrational one is never 0, and its
+value x = (sum_k num[k] cos(2 pi k / N)) / den is enclosed in fixed point:
+with each cosine bracketed by the integers floor and ceil of
+cos(2 pi k / N) * 2**bits (one table per (N, bits), built once), summing
+num[k] times the lower or upper end by the sign of num[k] gives integers
+lo <= x * den * 2**bits <= hi, with hi - lo <= sum_k |num[k]|.  The sign
+is read off lo > 0 or hi < 0, at 96 bits first and at twice the bits
+until one holds.  float() refines the same enclosure until both ends round
+to the same double, which is then the correctly rounded value of x.
+
+``stats`` counts, for the life of the process, signs and floats decided as
+rationals, by the enclosure at 96 bits and after refinement, and the
+cosine tables built.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 __all__ = [
     "CycNumber",
@@ -37,15 +48,21 @@ __all__ = [
     "rational",
     "sqrt_int",
     "SignUndecidedError",
+    "stats",
 ]
 
-# The interval-refinement sign test gives up beyond this precision.  All
-# numbers produced in this package decide long before reaching it.
+# Signs and floats start from a 96-bit enclosure and double its bits until
+# they decide; the sign test gives up beyond _MAX_SIGN_BITS.  All numbers
+# produced in this package decide long before reaching it.
+_START_BITS = 96
 _MAX_SIGN_BITS = 4096
+
+stats = {"sign_rational": 0, "sign_table": 0, "sign_refined": 0,
+         "float_rational": 0, "float_table": 0, "float_refined": 0, "tables": 0}
 
 
 class SignUndecidedError(ArithmeticError):
-    """Raised if interval refinement hits the precision cap (never expected)."""
+    """Raised if the sign test hits the precision cap (never expected)."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +192,6 @@ class ComplexInterval:
     def midpoint(self) -> complex:
         return complex(float(self.re.mid), float(self.im.mid))
 
-    def excludes_zero_re(self) -> int:
-        """Sign of the real part if the interval separates it from 0, else 0."""
-        if self.re.a > 0:
-            return 1
-        if self.re.b < 0:
-            return -1
-        return 0
-
     def __repr__(self):
         return f"ComplexInterval(re={self.re}, im={self.im})"
 
@@ -218,6 +227,65 @@ def _eval_interval(order: int, nums: tuple[int, ...], den: int, prec: int) -> Co
         return ComplexInterval(re, im)
     finally:
         iv.prec = old
+
+
+# ---------------------------------------------------------------------------
+# fixed-point enclosures of real values
+
+# cos(2 pi a / b), a a unit mod b, is rational exactly for these b
+_RATIONAL_COS = {1: Fraction(1), 2: Fraction(-1), 3: Fraction(-1, 2), 4: Fraction(0),
+                 6: Fraction(1, 2)}
+
+
+@lru_cache(maxsize=None)
+def _cos_bracket(order: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Entry k: (floor, ceil) of cos(2 pi k / order) * 2**bits, k < deg Phi_order.
+
+    A rational cosine scales to an integer, so floor == ceil.  An irrational
+    one is read from the interval enclosure of zeta^k at bits + 40 bits,
+    whose endpoints convert exactly to Fractions, and again at twice the
+    precision while the enclosure straddles an integer; an irrational
+    value is never one, so its entry is exact, with ceil == floor + 1.
+    """
+    from mpmath.libmp import to_rational
+
+    stats["tables"] += 1
+    deg, scale = _degree(order), 1 << bits
+    out = []
+    for k in range(deg):
+        exact = _RATIONAL_COS.get(order // gcd(k, order))
+        if exact is not None:
+            m = int(exact * scale)
+            out.append((m, m))
+            continue
+        unit = tuple(int(j == k) for j in range(deg))
+        prec = bits + 40
+        while True:
+            a, b = (Fraction(*to_rational(end))
+                    for end in _eval_interval(order, unit, 1, prec).re._mpi_)
+            lo, hi = floor(a * scale), ceil(b * scale)
+            if hi == lo + 1:
+                break
+            prec *= 2
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _real_enclosure(order: int, nums: tuple[int, ...], bits: int) -> tuple[int, int]:
+    """Integers lo <= Re(x) * den * 2**bits <= hi for x = (sum_k nums[k] zeta^k) / den.
+
+    Each coefficient takes the lower or the upper end of its cosine's
+    bracket by its sign, so hi - lo <= sum_k |nums[k]|.
+    """
+    lo = hi = 0
+    for c, (f, g) in zip(nums, _cos_bracket(order, bits)):
+        if c > 0:
+            lo += c * f
+            hi += c * g
+        elif c < 0:
+            lo += c * g
+            hi += c * f
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +556,52 @@ class CycNumber:
         return self.interval(64).midpoint()
 
     def __float__(self) -> float:
+        """The correctly rounded double of a real value.
+
+        A rational p/q is p / q, Python's correctly rounded int division.
+        Otherwise the enclosure lo <= x * den * 2**bits <= hi is taken at 96
+        bits, then at twice the bits, until lo / (den << bits) and
+        hi / (den << bits), both correctly rounded, are equal.  Rounding is
+        monotone, so that double is the rounding of x; and it ends, since
+        an irrational x is never a rounding boundary.
+        """
+        if self.is_rational():
+            stats["float_rational"] += 1
+            return self.num[0] / self.den
         if not self.is_real():
             raise ValueError("not a real value")
-        return float(self.interval(64).re.mid)
+        bits = _START_BITS
+        while True:
+            lo, hi = _real_enclosure(self.order, self.num, bits)
+            scale = self.den << bits
+            f = lo / scale
+            if f == hi / scale:
+                stats["float_table" if bits == _START_BITS else "float_refined"] += 1
+                return f
+            bits *= 2
 
     def sign(self) -> int:
-        """Exact sign of a real value: -1, 0 or +1."""
+        """Exact sign of a real value: -1, 0 or +1.
+
+        A rational value reads it off its numerator; an irrational one is
+        not 0.  Its enclosure lo <= x * den * 2**bits <= hi is taken at 96
+        bits, then at twice the bits, until lo > 0 (+1) or hi < 0 (-1).
+        Since hi - lo <= sum_k |num[k]|, that holds once |x| * den * 2**bits
+        exceeds this sum.  SignUndecidedError past _MAX_SIGN_BITS bits.
+        """
         if self.is_rational():
+            stats["sign_rational"] += 1
             n = self.num[0]
             return (n > 0) - (n < 0)
         if not self.is_real():
             raise ValueError("sign of a non-real value")
-        prec = 64
-        while prec <= _MAX_SIGN_BITS:
-            s = self.interval(prec).excludes_zero_re()
-            if s:
-                return s
-            prec *= 2
+        bits = _START_BITS
+        while bits <= _MAX_SIGN_BITS:
+            lo, hi = _real_enclosure(self.order, self.num, bits)
+            if lo > 0 or hi < 0:
+                stats["sign_table" if bits == _START_BITS else "sign_refined"] += 1
+                return 1 if lo > 0 else -1
+            bits *= 2
         raise SignUndecidedError(f"sign undecided at {_MAX_SIGN_BITS} bits: {self!r}")
 
     def _compare(self, other, op):

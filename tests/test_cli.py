@@ -271,8 +271,8 @@ def test_simulate_empty_circuit(tmp_path, capsys):
 
 @pytest.mark.parametrize("ops,measured", [([{"measure": {"a": "Z:(1)|X:(0)"}}], True), ([], False)])
 def test_simulate_stats(tmp_path, capsys, ops, measured):
-    """--stats adds the model's counters and this command's LP, certificate
-    and oracle counts; the rest of the summary is what it is without it."""
+    """--stats adds the model's counters and this command's LP, certificate,
+    oracle and sign counts; the rest of the summary is what it is without it."""
     circ = tmp_path / "c.json"
     circ.write_text(json.dumps({"d": 2, "n": 1, "state": {"preset": "T"}, "ops": ops}))
     argv = ["simulate", "-d", "2", "-n", "1", str(circ), "--shots", "300", "--seed", "7"]
@@ -283,11 +283,14 @@ def test_simulate_stats(tmp_path, capsys, ops, measured):
     doc = json.loads(stdout)
     stats = doc.pop("stats")
     assert doc == json.loads(plain)
-    assert set(stats) == {"model", "exact_lp", "polytope", "oracle"}
+    assert set(stats) == {"model", "exact_lp", "polytope", "oracle", "cyclotomic"}
     assert set(stats["model"]) == set(STAT_NAMES)
     assert set(stats["exact_lp"]) == {"rational", "split", "field", "pivots"}
     assert set(stats["polytope"]) == {"modp", "exact"}
     assert set(stats["oracle"]) == {"transitions", "reused", "branches"}
+    assert set(stats["cyclotomic"]) == {"sign_rational", "sign_table", "sign_refined",
+                                        "float_rational", "float_table", "float_refined",
+                                        "tables"}
     assert stats["model"]["shots"] == 300
     assert stats["model"]["decompose_misses"] >= 1
     # the T input needs the LP; the post-states of the Z measurement are
@@ -296,6 +299,8 @@ def test_simulate_stats(tmp_path, capsys, ops, measured):
     assert stats["model"]["decompose_closed_form"] == (2 if measured else 0)
     assert stats["model"]["decompose_misses"] == 1 + stats["model"]["decompose_closed_form"]
     assert stats["oracle"]["branches"] == (2 if measured else 0)
+    # the field LP of the T input decides irrational signs, all at 96 bits
+    assert stats["cyclotomic"]["sign_table"] >= 1 and stats["cyclotomic"]["sign_refined"] == 0
     assert all(type(v) is int and v >= 0 for group in stats.values() for v in group.values())
 
 

@@ -1,12 +1,15 @@
-"""Exact arithmetic: field operations, conjugation, intervals, serialization."""
+"""Exact arithmetic: field operations, conjugation, intervals, fixed-point
+signs and floats, serialization."""
 
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_hvm import cyclotomic
 from lambda_hvm.cyclotomic import CycNumber, cyclotomic_polynomial, rational, sqrt_int, zeta
 from lambda_hvm.linalg import CycMatrix, exact_rank
 from tests_support import (reference_conjugate, reference_cyclotomic_polynomial,
@@ -146,6 +149,154 @@ def test_order_comparisons_agree_with_the_sign_of_the_difference():
         sqrt_int(2) < 1.5
     with pytest.raises(ValueError):
         zeta(3) > 0
+
+
+def _floor_cos(turns: Fraction, bits: int) -> tuple[int, bool]:
+    """floor(cos(2 pi turns) * 2**bits) and whether the cosine is rational,
+    from closed forms in Q(sqrt 2, sqrt 3, sqrt 5) and integer square roots:
+    floor(sqrt(y)) = isqrt(floor(y)) for real y >= 0, and floor(-y) =
+    -floor(y) - 1 for irrational y."""
+    h = bits - 1                            # cosines over 2 scale by 2**h
+    two_minus_root3 = (2 << 2 * h) - isqrt(3 << 4 * h) - 1   # floor((2 - sqrt 3) 4**h)
+    two_plus_root3 = (2 << 2 * h) + isqrt(3 << 4 * h)        # floor((2 + sqrt 3) 4**h)
+    root5 = isqrt(5 << 2 * bits)                              # floor(sqrt 5 * 2**bits)
+    forms = {
+        Fraction(0): (1 << bits, True),
+        Fraction(1, 6): (1 << h, True),
+        Fraction(1, 4): (0, True),
+        Fraction(1, 3): (-(1 << h), True),
+        Fraction(1, 12): (isqrt(3 << 2 * h), False),           # sqrt(3)/2
+        Fraction(1, 8): (isqrt(2 << 2 * h), False),            # sqrt(2)/2
+        Fraction(3, 8): (-isqrt(2 << 2 * h) - 1, False),       # -sqrt(2)/2
+        Fraction(1, 24): (isqrt(two_plus_root3), False),       # sqrt(2 + sqrt 3)/2
+        Fraction(5, 24): (isqrt(two_minus_root3), False),      # sqrt(2 - sqrt 3)/2
+        Fraction(7, 24): (-isqrt(two_minus_root3) - 1, False),
+        Fraction(1, 5): ((root5 - (1 << bits)) // 4, False),   # (sqrt 5 - 1)/4
+        Fraction(2, 5): (-((root5 + (1 << bits)) // 4) - 1, False),  # -(sqrt 5 + 1)/4
+        Fraction(3, 5): (-((root5 + (1 << bits)) // 4) - 1, False),
+    }
+    return forms[turns]
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_cosine_tables_equal_the_closed_forms(bits):
+    """Every table entry is the exact (floor, ceil) of cos(2 pi k / N) * 2**bits."""
+    for order in (3, 4, 5, 6, 8, 12, 24):
+        want = []
+        for k in range(len(cyclotomic_polynomial(order)) - 1):
+            f, exact = _floor_cos(Fraction(k, order), bits)
+            want.append((f, f if exact else f + 1))
+        assert cyclotomic._cos_bracket(order, bits) == tuple(want), order
+
+
+def _rounded(u: Fraction, terms) -> tuple[int, float]:
+    """Sign and correctly rounded double of u + sum of v * sqrt(r) over the
+    (v, r) in terms (v a Fraction, r an integer that is no square), from
+    isqrt brackets of each sqrt(r) * 2**bits at doubling bits."""
+    bits = 64
+    while True:
+        lo = hi = u
+        for v, r in terms:
+            f = isqrt(r << 2 * bits)
+            a, b = v * Fraction(f, 1 << bits), v * Fraction(f + 1, 1 << bits)
+            lo, hi = lo + min(a, b), hi + max(a, b)
+        if (lo > 0 or hi < 0) and float(lo) == float(hi):
+            return (1 if lo > 0 else -1), float(lo)
+        bits *= 2
+
+
+def test_floats_are_correctly_rounded():
+    rng = random.Random(2718)
+    for _ in range(300):
+        scale = 10 ** rng.choice((0, 3, 20))
+        a, b, c = (rng.randint(-scale, scale) for _ in range(3))
+        den = rng.randint(1, 10 ** rng.choice((1, 6, 25)))
+        x = (a + b * sqrt_int(2) + c * sqrt_int(3)) / den
+        terms = [(Fraction(v, den), r) for v, r in ((b, 2), (c, 3)) if v]
+        if not terms:
+            assert float(x) == float(Fraction(a, den))
+            continue
+        want_sign, want = _rounded(Fraction(a, den), terms)
+        assert (x.sign(), float(x)) == (want_sign, want), (a, b, c, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(), st.sampled_from((1, 3, 8, 24)))
+def test_rational_floats_equal_the_fraction_float(fr, order):
+    fr *= Fraction(3 ** 40, 7 ** 30)  # numerators and denominators past 2**53
+    assert float(CycNumber.from_rational(fr, order)) == float(fr)
+
+
+def _interval_bounds(x: CycNumber, prec: int) -> tuple[Fraction, Fraction]:
+    """The real part's mpmath interval enclosure, as exact Fractions."""
+    import mpmath
+    re = x.interval(prec).re
+    return tuple(Fraction(*mpmath.libmp.to_rational(end)) for end in re._mpi_)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_numbers(orders=tuple(range(3, 25))))
+def test_signs_and_floats_equal_the_interval_loop(a):
+    """On real values, sign() equals the sign that interval enclosures at
+    doubling precision decide, and float() the double both ends of a
+    tight enough enclosure round to."""
+    x = a + a.conjugate()
+    if x.is_zero():
+        assert x.sign() == 0 and float(x) == 0.0
+        return
+    prec = 64
+    while True:
+        lo, hi = _interval_bounds(x, prec)
+        if (lo > 0 or hi < 0) and float(lo) == float(hi):
+            break
+        prec *= 2
+    assert x.sign() == (1 if lo > 0 else -1)
+    assert float(x) == float(lo)
+
+
+def _close_convergents(quotients):
+    """Two consecutive convergents p/q of a continued fraction, each within
+    1 / (q q') < 2**-200 of its value (q' the next denominator)."""
+    (p0, q0), (p1, q1) = (1, 0), (next(quotients), 1)
+    out = []
+    for t in quotients:
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        if q0 * q1 > 1 << 200:
+            out.append(Fraction(p0, q0))
+            if len(out) == 2:
+                return out
+
+
+def _repeat(head, *period):
+    yield head
+    while True:
+        yield from period
+
+
+def test_near_zero_signs_and_floats_refine():
+    """Differences of sqrt 2, sqrt 3 and the golden ratio and their close
+    rational approximations are undecided at 96 bits: they refine, and
+    their signs and floats are right."""
+    cases = []
+    for p in _close_convergents(_repeat(1, 2)):
+        cases.append((zeta(8) + zeta(8, 7) - p, Fraction(0), [(Fraction(1), 2)], p))
+    for p in _close_convergents(_repeat(1, 1, 2)):
+        cases.append((sqrt_int(3) - p, Fraction(0), [(Fraction(1), 3)], p))
+    for p in _close_convergents(_repeat(1, 1)):
+        cases.append(((1 + sqrt_int(5)) / 2 - p, Fraction(1, 2), [(Fraction(1, 2), 5)], p))
+    before = dict(cyclotomic.stats)
+    signs = []
+    for x, u, terms, p in cases:
+        want_sign, want = _rounded(u - p, terms)
+        assert 0 < abs(want) < 2.0 ** -200
+        assert x.sign() == want_sign, p
+        assert float(x) == want, p
+        signs.append(want_sign)
+    # consecutive convergents lie on opposite sides of their value
+    assert all(signs[i] == -signs[i + 1] for i in (0, 2, 4))
+    grew = {k: cyclotomic.stats[k] - before[k] for k in before}
+    assert grew["sign_refined"] == grew["float_refined"] == len(cases)
+    assert grew["sign_table"] == grew["float_table"] == 0
 
 
 def test_exact_sqrt():
